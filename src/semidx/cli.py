@@ -27,9 +27,9 @@ from semidx.config import (ConfigError, RunConfig, config_hash, dump_config,
 from semidx.data import (Corpus, Vocab, build_vocab, load_corpus, split_pairs,
                          synth_corpus, write_items, write_pairs)
 from semidx.model import (TransformerModel, checkpoint_hash, load_checkpoint,
-                          save_checkpoint)
+                          pad_rows, save_checkpoint)
 from semidx.pretrain import PretrainData, run_pretraining
-from semidx.training import (AlignmentData, FrozenAssignments, train_code_step)
+from semidx.training import AlignmentData, progressive_train
 
 logger = logging.getLogger(__name__)
 
@@ -185,25 +185,17 @@ def cmd_train(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
     data = AlignmentData.from_corpus(corpus, vocab, model.config.max_text_len)
     optimizer = Optimizer(model.parameters(), lr=tcfg.lr, mode=tcfg.optimizer)
     log, fh = _jsonl_logger(out / "train_log.jsonl")
-    frozen: FrozenAssignments | None = None
     try:
-        for step in range(1, tcfg.num_steps + 1):
-            rng = np.random.default_rng([cfg.seed, 2000 + step])
-            frozen_t, stats = train_code_step(model, optimizer, data, frozen, step,
-                                              tcfg, rng, log_fn=log)
-            if frozen is not None:
-                for iid, sid in frozen_t.ids.items():
-                    if sid[: step - 1] != frozen.ids[iid]:
-                        raise AssertionError(f"freeze invariant violated for {iid!r}")
-            step_ckpt = out / f"model_step{step}.ckpt"
+        for frozen, stats in progressive_train(model, optimizer, data, tcfg, cfg.seed,
+                                               log_fn=log):
+            step_ckpt = out / f"model_step{frozen.step}.ckpt"
             save_checkpoint(step_ckpt, model, optimizer)
-            frozen_t.checkpoint_hash = checkpoint_hash(step_ckpt)
-            frozen_t.save(out / f"assignments_step{step}.json")
-            log({"phase": "step_summary", "step": step,
+            frozen.checkpoint_hash = checkpoint_hash(step_ckpt)
+            frozen.save(out / f"assignments_step{frozen.step}.json")
+            log({"phase": "step_summary", "step": frozen.step,
                  "code_usage_entropy": stats.code_usage_entropy,
                  "dead_codes_reinit": stats.dead_codes_reinit,
                  "batches": stats.batches})
-            frozen = frozen_t
     finally:
         fh.close()
     save_checkpoint(out / "model.ckpt", model, optimizer)
@@ -259,26 +251,22 @@ def _heldout_queries(cfg: RunConfig, vocab: Vocab, model) -> tuple[list[str], li
     return query_ids, token_rows, judgments
 
 
-def _dense_runs(model, vocab, cfg, corpus_items, query_ids, token_rows, k):
-    tokenized = {iid: vocab.encode(text, model.config.max_text_len)
-                 for iid, text in corpus_items}
+def _dense_runs(model, vocab, corpus, query_ids, query_states, k):
+    """Rank every item by its final state's dot product with each query state."""
+    tokenized = {iid: vocab.encode(it.text, model.config.max_text_len)
+                 for iid, it in sorted(corpus.items.items())}
     matrix, item_ids = index_mod.item_representation_matrix(
         model, tokenized, model.trained_steps)
-    runs = []
-    for qid, tokens in zip(query_ids, token_rows):
-        q = model.final_representation(tokens, model.trained_steps)
-        runs.append(index_mod.dense_rank(q, matrix, item_ids, k, query_id=qid))
-    return runs
+    return [index_mod.dense_rank(q, matrix, item_ids, k, query_id=qid)
+            for qid, q in zip(query_ids, query_states)]
 
 
-def _generative_runs(model, idx, cfg, query_ids, token_rows, beam_width, cutoff):
+def _generative_runs(model, idx, query_ids, token_rows, beam_width, cutoff):
     beams_per_query = index_mod.beam_search_decode_batch(
         model, token_rows, beam_width, depth=idx.num_steps, constrain=True, index=idx)
-    runs = []
-    for qid, tokens, beams in zip(query_ids, token_rows, beams_per_query):
-        runs.append(index_mod.generative_retrieve(
-            model, idx, tokens, beam_width, cutoff, query_id=qid, beams=beams))
-    return runs
+    return [index_mod.generative_retrieve(model, idx, tokens, beam_width, cutoff,
+                                          query_id=qid, beams=beams)
+            for qid, tokens, beams in zip(query_ids, token_rows, beams_per_query)]
 
 
 def _run_to_dict(run) -> dict:
@@ -295,15 +283,15 @@ def cmd_retrieve(cfg: RunConfig, from_checkpoint: str | None = None,
     out = Path(cfg.out_dir)
     inputs = {"model": ckpt_path}
     if mode in ("dense", "both"):
-        runs = _dense_runs(model, vocab, cfg, sorted((i, r.text) for i, r in corpus.items.items()),
-                           query_ids, token_rows, cfg.eval.dense_k)
+        _, query_states = index_mod.greedy_decode_rows(model, token_rows, model.trained_steps)
+        runs = _dense_runs(model, vocab, corpus, query_ids, query_states, cfg.eval.dense_k)
         (out / "runs_dense.json").write_text(
             json.dumps([_run_to_dict(r) for r in runs], sort_keys=True), encoding="utf-8")
     if mode in ("generative", "both"):
         idx_path = _require(out / "index.json", "code index")
         idx = index_mod.CodeIndex.load(idx_path,
                                        expected_checkpoint_hash=checkpoint_hash(ckpt_path))
-        runs = _generative_runs(model, idx, cfg, query_ids, token_rows,
+        runs = _generative_runs(model, idx, query_ids, token_rows,
                                 cfg.eval.beam_width, cfg.eval.retrieve_cutoff)
         (out / "runs_generative.json").write_text(
             json.dumps([_run_to_dict(r) for r in runs], sort_keys=True), encoding="utf-8")
@@ -325,10 +313,11 @@ def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
 
     metrics: list[dict] = []
     max_k = max(max(cfg.eval.recall_ks), cfg.eval.mrr_k)
-    dense_runs = _dense_runs(model, vocab, cfg,
-                             sorted((i, r.text) for i, r in corpus.items.items()),
-                             query_ids, token_rows, max_k)
-    gen_runs = _generative_runs(model, idx, cfg, query_ids, token_rows,
+    # one greedy pass gives the dense query states and the consistency codes
+    query_codes, query_states = index_mod.greedy_decode_rows(model, token_rows,
+                                                             model.trained_steps)
+    dense_runs = _dense_runs(model, vocab, corpus, query_ids, query_states, max_k)
+    gen_runs = _generative_runs(model, idx, query_ids, token_rows,
                                 cfg.eval.beam_width, cfg.eval.retrieve_cutoff)
     for mode, runs in (("dense", dense_runs), ("generative", gen_runs)):
         for k in cfg.eval.recall_ks:
@@ -366,9 +355,7 @@ def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
                                 "value": value, "item_count": len(common)})
 
     # query-item code consistency on the held-out pairs
-    query_sids: dict[str, tuple] = {}
-    for qid, tokens in zip(query_ids, token_rows):
-        query_sids[qid] = model.generate_ids(tokens, idx.num_steps)
+    query_sids = {qid: tuple(int(c) for c in row) for qid, row in zip(query_ids, query_codes)}
     pairs = [(qid, next(iter(judgments[qid]))) for qid in query_ids]
     for level in cfg.eval.consistency_levels:
         if level > idx.num_steps:
@@ -386,15 +373,8 @@ def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
         ids = list(tokenized)
         emb = np.zeros((len(ids), pre_model.config.hidden_size))
         for start in range(0, len(ids), 256):
-            chunk_ids = ids[start:start + 256]
-            rows = [tokenized[i] for i in chunk_ids]
-            width = max(len(r) for r in rows)
-            tok = np.zeros((len(rows), width), dtype=np.int64)
-            mask = np.zeros((len(rows), width))
-            for i, r in enumerate(rows):
-                tok[i, : len(r)] = r
-                mask[i, : len(r)] = 1.0
-            emb[start:start + len(rows)] = pre_model.mean_pooled_encoding(tok, mask)
+            tok, mask = pad_rows([tokenized[i] for i in ids[start:start + 256]])
+            emb[start:start + len(tok)] = pre_model.mean_pooled_encoding(tok, mask)
         baseline_codes = index_mod.hierarchical_kmeans_codes(
             emb, cfg.train.codebook_size, cfg.train.num_steps, seed=cfg.seed)
         sid_map = {iid: code for iid, code in zip(ids, baseline_codes)}

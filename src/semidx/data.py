@@ -147,12 +147,6 @@ class Corpus:
     items: dict[str, ItemRecord]
     pairs: list[QueryItemPair]
 
-    def pairs_by_item(self) -> dict[str, list[QueryItemPair]]:
-        grouped: dict[str, list[QueryItemPair]] = {iid: [] for iid in self.items}
-        for p in self.pairs:
-            grouped[p.item_id].append(p)
-        return grouped
-
 
 class CorpusFormatError(ValueError):
     pass

@@ -21,7 +21,7 @@ import numpy as np
 
 from semidx import autodiff as ad
 from semidx.metrics import RankedList
-from semidx.model import SemanticId, TransformerModel
+from semidx.model import SemanticId, TransformerModel, atomic_writer, pad_rows
 
 
 @dataclass
@@ -113,7 +113,8 @@ class CodeIndex:
             "item_count": len(self.by_item),
             "assignments": rows,
         }
-        Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        with atomic_writer(path) as fh:
+            fh.write(json.dumps(payload, sort_keys=True).encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path, expected_checkpoint_hash: str | None = None) -> "CodeIndex":
@@ -133,24 +134,27 @@ class CodeIndex:
         return idx
 
 
+def greedy_decode_rows(model: TransformerModel, token_rows: list[list[int]], depth: int,
+                       chunk: int = 256) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy codes (N, depth) and final-step states (N, D) for token rows,
+    padded and decoded ``chunk`` rows at a time."""
+    codes = np.zeros((len(token_rows), depth), dtype=np.int64)
+    finals = np.zeros((len(token_rows), model.config.hidden_size))
+    for start in range(0, len(token_rows), chunk):
+        tok, mask = pad_rows(token_rows[start:start + chunk])
+        rows = slice(start, start + len(tok))
+        codes[rows], finals[rows] = model.greedy_decode_batch(tok, mask, depth)
+    return codes, finals
+
+
 def assign_all_ids(model: TransformerModel, items: dict[str, list[int]], depth: int,
                    checkpoint_hash: str = "", chunk: int = 256) -> CodeIndex:
     """Greedy semantic IDs for a whole corpus (item id -> token ids)."""
     index = CodeIndex(num_steps=depth, codebook_size=model.config.codebook_size,
                       checkpoint_hash=checkpoint_hash)
-    ids = list(items)
-    for start in range(0, len(ids), chunk):
-        batch_ids = ids[start:start + chunk]
-        rows = [items[i] for i in batch_ids]
-        width = max(len(r) for r in rows)
-        tok = np.zeros((len(rows), width), dtype=np.int64)
-        mask = np.zeros((len(rows), width))
-        for i, r in enumerate(rows):
-            tok[i, : len(r)] = r
-            mask[i, : len(r)] = 1.0
-        codes, _ = model.greedy_decode_batch(tok, mask, depth)
-        for iid, row in zip(batch_ids, codes):
-            index.insert(iid, tuple(int(c) for c in row))
+    codes, _ = greedy_decode_rows(model, list(items.values()), depth, chunk)
+    for iid, row in zip(items, codes):
+        index.insert(iid, tuple(int(c) for c in row))
     index.validate()
     return index
 
@@ -168,6 +172,11 @@ def beam_search_decode(model: TransformerModel, query_tokens, beam_width: int,
     With ``constrain`` set, only prefixes present in ``index`` survive.
     Results are sorted by descending score, ties broken by lexicographic ID,
     which makes width K^T exactly reproduce exhaustive sequence scoring.
+
+    This B=1 path is kept beside ``beam_search_decode_batch`` because a
+    decoder row computed inside a batch differs from the same row at B=1 in
+    the last bits (about 1e-9 in the scores). Single-query serving and the
+    bit-exact exhaustive-scoring oracles use this path.
     """
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
@@ -197,7 +206,12 @@ def beam_search_decode_batch(model: TransformerModel, token_rows: list[list[int]
                              beam_width: int, depth: int, constrain: bool = False,
                              index: CodeIndex | None = None, temperature: float = 1.0,
                              chunk: int = 128) -> list[list[tuple[SemanticId, float]]]:
-    """Batched variant of ``beam_search_decode`` (same results per query)."""
+    """``beam_search_decode`` for many queries, ``chunk`` queries per pass.
+
+    Beam scores match the B=1 path to about 1e-9, not bit for bit (batched
+    decoder rows differ in the last bits), so near-tied beams may trade
+    places. Batch work such as retrieve and eval uses this path.
+    """
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
     if constrain and index is None:
@@ -206,12 +220,7 @@ def beam_search_decode_batch(model: TransformerModel, token_rows: list[list[int]
     out: list[list[tuple[SemanticId, float]]] = []
     for start in range(0, len(token_rows), chunk):
         rows = token_rows[start:start + chunk]
-        width = max(len(r) for r in rows)
-        tok = np.zeros((len(rows), width), dtype=np.int64)
-        mask = np.zeros((len(rows), width))
-        for i, r in enumerate(rows):
-            tok[i, : len(r)] = r
-            mask[i, : len(r)] = 1.0
+        tok, mask = pad_rows(rows)
         memory = model.encode_batch(tok, mask).data
         per_query: list[list[tuple[SemanticId, float]]] = [[((), 0.0)] for _ in rows]
         for t in range(1, depth + 1):
@@ -295,20 +304,8 @@ def dense_rank(query_vec: np.ndarray, item_matrix: np.ndarray,
 def item_representation_matrix(model: TransformerModel, items: dict[str, list[int]],
                                depth: int, chunk: int = 256) -> tuple[np.ndarray, list[str]]:
     """Final-step decoder states for every item, row-aligned with the ids."""
-    ids = list(items)
-    reps = np.zeros((len(ids), model.config.hidden_size))
-    for start in range(0, len(ids), chunk):
-        batch_ids = ids[start:start + chunk]
-        rows = [items[i] for i in batch_ids]
-        width = max(len(r) for r in rows)
-        tok = np.zeros((len(rows), width), dtype=np.int64)
-        mask = np.zeros((len(rows), width))
-        for i, r in enumerate(rows):
-            tok[i, : len(r)] = r
-            mask[i, : len(r)] = 1.0
-        _, final = model.greedy_decode_batch(tok, mask, depth)
-        reps[start:start + len(rows)] = final
-    return reps, ids
+    _, reps = greedy_decode_rows(model, list(items.values()), depth, chunk)
+    return reps, list(items)
 
 
 def dense_retrieve(model: TransformerModel, item_matrix: np.ndarray,

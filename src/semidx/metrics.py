@@ -7,7 +7,6 @@ level-wise query-item code consistency. Entropies and MI are in nats.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from math import lgamma, log
 from typing import Mapping, Sequence
@@ -204,7 +203,3 @@ def partition_from_ids(ids: Mapping[str, tuple], level: int) -> dict[str, int]:
     prefixes = sorted({tuple(sid[:level]) for sid in ids.values()})
     label = {p: i for i, p in enumerate(prefixes)}
     return {key: label[tuple(sid[:level])] for key, sid in ids.items()}
-
-
-def counts_to_distribution(labels: Sequence) -> Counter:
-    return Counter(labels)

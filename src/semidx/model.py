@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -170,6 +172,20 @@ def _pad_bias(mask: np.ndarray) -> np.ndarray:
     return _NEG_BIAS * (1.0 - mask[:, None, None, :])
 
 
+def pad_rows(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad token rows into the (B, L) ids and 1/0 mask ``encode_batch``
+    takes. Pads use id 0 and are masked out, so their id never matters."""
+    width = max(len(r) for r in rows)
+    tokens = np.zeros((len(rows), width), dtype=np.int64)
+    mask = np.zeros((len(rows), width), dtype=np.float64)
+    for i, r in enumerate(rows):
+        if len(r) == 0:
+            raise ValueError(f"token row {i} is empty")
+        tokens[i, : len(r)] = r
+        mask[i, : len(r)] = 1.0
+    return tokens, mask
+
+
 class TransformerModel:
     """The trainable backbone plus its codebooks."""
 
@@ -303,11 +319,8 @@ class TransformerModel:
 
     def encode(self, tokens: Sequence[int]) -> Tensor:
         """Single-sequence encoder memory: one D-vector per input position."""
-        ids = np.asarray(list(tokens), dtype=np.int64)
-        if ids.size == 0:
-            raise ValueError("cannot encode an empty token sequence")
-        memory = self.encode_batch(ids[None, :], np.ones((1, ids.size)))
-        return ad.reshape(memory, (ids.size, self.config.hidden_size))
+        memory = self.encode_batch(*pad_rows([list(tokens)]))
+        return ad.reshape(memory, (memory.shape[1], self.config.hidden_size))
 
     def _decode_stack(self, x: Tensor, self_bias: np.ndarray, memory: Tensor,
                       cross_bias: np.ndarray | None, train: bool) -> Tensor:
@@ -413,26 +426,14 @@ class TransformerModel:
             codes = np.concatenate([codes, assigned[:, None]], axis=1)
         return codes, final
 
-    def generate_ids(self, tokens: Sequence[int], depth: int,
-                     temperature: float = 1.0) -> SemanticId:
-        """Greedy semantic ID: encode once, then decode/assign step by step.
-
-        ``temperature`` is accepted for interface symmetry with the
-        distribution lookup; it cannot change an argmax.
-        """
-        del temperature
-        ids = np.asarray(list(tokens), dtype=np.int64)
-        if ids.size == 0:
-            raise ValueError("cannot generate an ID for an empty sequence")
-        codes, _ = self.greedy_decode_batch(ids[None, :], np.ones((1, ids.size)), depth)
+    def generate_ids(self, tokens: Sequence[int], depth: int) -> SemanticId:
+        """Greedy semantic ID: encode once, then decode/assign step by step."""
+        codes, _ = self.greedy_decode_batch(*pad_rows([list(tokens)]), depth)
         return tuple(int(c) for c in codes[0])
 
     def final_representation(self, tokens: Sequence[int], depth: int) -> np.ndarray:
         """d_depth along the greedy chain (pre-quantization decoder state)."""
-        ids = np.asarray(list(tokens), dtype=np.int64)
-        if ids.size == 0:
-            raise ValueError("cannot represent an empty sequence")
-        _, final = self.greedy_decode_batch(ids[None, :], np.ones((1, ids.size)), depth)
+        _, final = self.greedy_decode_batch(*pad_rows([list(tokens)]), depth)
         return final[0]
 
     def mean_pooled_encoding(self, tokens: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -448,6 +449,22 @@ class TransformerModel:
 
 _MAGIC = b"SIDXCKPT"
 FORMAT_VERSION = 1
+
+
+@contextmanager
+def atomic_writer(path: str | Path):
+    """Binary handle on a sibling temp file that replaces ``path`` only once
+    the block completes; on any failure ``path`` is untouched and the temp
+    file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -499,7 +516,7 @@ def save_checkpoint(path: str | Path, model: TransformerModel,
         "arrays": manifest,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_writer(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
@@ -508,21 +525,39 @@ def save_checkpoint(path: str | Path, model: TransformerModel,
 
 
 def load_checkpoint(path: str | Path) -> CheckpointBundle:
+    """Read a ``save_checkpoint`` container, checking every length on the way."""
     raw = Path(path).read_bytes()
     if raw[:8] != _MAGIC:
         raise ValueError(f"{path}: not a model checkpoint (bad magic)")
+
+    def corrupt(what: str) -> ValueError:
+        return ValueError(f"{path}: truncated or corrupt checkpoint ({what})")
+
+    if len(raw) < 16:
+        raise corrupt("file ends inside the header length")
     header_len = struct.unpack("<Q", raw[8:16])[0]
-    header = json.loads(raw[16:16 + header_len].decode("utf-8"))
+    if 16 + header_len > len(raw):
+        raise corrupt(f"header of {header_len} bytes runs past the end of the file")
+    try:
+        header = json.loads(raw[16:16 + header_len].decode("utf-8"))
+    except ValueError as exc:
+        raise corrupt("header is not UTF-8 JSON") from exc
     if header["format_version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version {header['format_version']}")
     payload = raw[16 + header_len:]
+    total = 0
+    for entry in header["arrays"]:
+        nbytes = 8 * int(np.prod(entry["shape"]))
+        if entry["offset"] + nbytes > len(payload):
+            raise corrupt(f"array {entry['name']} runs past the end of the payload")
+        total += nbytes
+    if total != len(payload):
+        raise corrupt(f"payload holds {len(payload)} bytes, the manifest {total}")
 
     def read_array(entry) -> np.ndarray:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-        return arr.reshape(shape).astype(np.float64)
+        arr = np.frombuffer(payload, dtype="<f8", count=int(np.prod(entry["shape"])),
+                            offset=entry["offset"])
+        return arr.reshape(tuple(entry["shape"])).astype(np.float64)
 
     by_name = {entry["name"]: entry for entry in header["arrays"]}
     config = ModelConfig(**header["config"])

@@ -17,7 +17,7 @@ import numpy as np
 from semidx import autodiff as ad
 from semidx.data import (MASK_SENTINELS, TASK_CLOZE, TASK_QUERY_GEN,
                          TASK_SUFFIX, Vocab)
-from semidx.model import TransformerModel
+from semidx.model import TransformerModel, pad_rows
 
 logger = logging.getLogger(__name__)
 
@@ -174,16 +174,6 @@ def sample_examples(data: PretrainData, count: int, vocab: Vocab,
     return examples, skipped
 
 
-def _pad(rows: list[list[int]], pad_id: int) -> tuple[np.ndarray, np.ndarray]:
-    width = max(len(r) for r in rows)
-    out = np.full((len(rows), width), pad_id, dtype=np.int64)
-    mask = np.zeros((len(rows), width), dtype=np.float64)
-    for i, r in enumerate(rows):
-        out[i, : len(r)] = r
-        mask[i, : len(r)] = 1.0
-    return out, mask
-
-
 def batch_loss(model: TransformerModel, batch: list[PretrainExample],
                vocab: Vocab, train: bool = False):
     """Mean over examples of the summed teacher-forced NLL.
@@ -192,8 +182,8 @@ def batch_loss(model: TransformerModel, batch: list[PretrainExample],
     combining a query with an item prefix) are right-truncated.
     """
     limit = model.config.max_text_len
-    enc, enc_mask = _pad([ex.input_tokens[:limit] for ex in batch], vocab.pad_id)
-    targets, tgt_mask = _pad([ex.target_tokens[:limit] for ex in batch], vocab.pad_id)
+    enc, enc_mask = pad_rows([ex.input_tokens[:limit] for ex in batch])
+    targets, tgt_mask = pad_rows([ex.target_tokens[:limit] for ex in batch])
     dec_in = np.concatenate(
         [np.full((len(batch), 1), vocab.bos_id, dtype=np.int64), targets[:, :-1]], axis=1)
     memory = model.encode_batch(enc, enc_mask, train=train)

@@ -19,6 +19,7 @@ import json
 import logging
 import warnings
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from semidx import autodiff as ad
 from semidx.autodiff import Tensor
 from semidx.config import ProgressiveConfig
 from semidx.data import Corpus, Vocab
-from semidx.model import SemanticId, TransformerModel
+from semidx.model import SemanticId, TransformerModel, atomic_writer, pad_rows
 
 logger = logging.getLogger(__name__)
 
@@ -98,7 +99,8 @@ class FrozenAssignments:
     def save(self, path: str | Path) -> None:
         payload = {"step": self.step, "checkpoint_hash": self.checkpoint_hash,
                    "ids": {k: list(v) for k, v in sorted(self.ids.items())}}
-        Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        with atomic_writer(path) as fh:
+            fh.write(json.dumps(payload, sort_keys=True).encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "FrozenAssignments":
@@ -216,16 +218,6 @@ def build_prefix_batches(frozen: FrozenAssignments | None, entries: list[PairEnt
 # losses
 # ---------------------------------------------------------------------------
 
-def _pad_rows(rows: list[list[int]], pad_id: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    width = max(len(r) for r in rows)
-    out = np.full((len(rows), width), pad_id, dtype=np.int64)
-    mask = np.zeros((len(rows), width), dtype=np.float64)
-    for i, r in enumerate(rows):
-        out[i, : len(r)] = r
-        mask[i, : len(r)] = 1.0
-    return out, mask
-
-
 @dataclass
 class BatchForward:
     """Shared forward pieces for one batch at training step T.
@@ -243,7 +235,6 @@ class BatchForward:
     q_final: Tensor                   # (B, D)
     d_final_unique: Tensor            # (U, D)
     d_final_entries: Tensor           # (B, D)
-    item_tokens_ref: dict[str, list[int]] | None = None
 
 
 def batch_forward(batch: TrainPairBatch, model: TransformerModel,
@@ -257,8 +248,8 @@ def batch_forward(batch: TrainPairBatch, model: TransformerModel,
     unique_ids = list(uniq)
     prefix_by_item = {e.item_id: e.prefix for e in entries}
 
-    q_tok, q_mask = _pad_rows([e.query_tokens for e in entries])
-    d_tok, d_mask = _pad_rows([data.item_tokens[iid] for iid in unique_ids])
+    q_tok, q_mask = pad_rows([e.query_tokens for e in entries])
+    d_tok, d_mask = pad_rows([data.item_tokens[iid] for iid in unique_ids])
     q_prefix = np.array([list(e.prefix) for e in entries], dtype=np.int64).reshape(len(entries), T - 1)
     d_prefix = np.array([list(prefix_by_item[iid]) for iid in unique_ids],
                         dtype=np.int64).reshape(len(unique_ids), T - 1)
@@ -385,7 +376,7 @@ def assign_step_codes(model: TransformerModel, data: AlignmentData,
     ids = data.item_ids
     for start in range(0, len(ids), chunk):
         batch_ids = ids[start:start + chunk]
-        tok, mask = _pad_rows([data.item_tokens[i] for i in batch_ids])
+        tok, mask = pad_rows([data.item_tokens[i] for i in batch_ids])
         prefix = np.array([list(frozen.prefix_for(i)) if frozen else []
                            for i in batch_ids], dtype=np.int64).reshape(len(batch_ids), step - 1)
         memory = model.encode_batch(tok, mask)
@@ -508,20 +499,22 @@ def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
 
 
 def progressive_train(model: TransformerModel, optimizer, data: AlignmentData,
-                      cfg: ProgressiveConfig, rng: np.random.Generator,
-                      log_fn=None) -> tuple[dict[int, FrozenAssignments], list[StepStats]]:
-    """Run steps 1..num_steps; returns per-step assignments and stats."""
+                      cfg: ProgressiveConfig, seed: int,
+                      log_fn=None) -> Iterator[tuple[FrozenAssignments, StepStats]]:
+    """Run steps 1..num_steps, yielding each step's assignments and stats.
+
+    Step t samples from its own generator seeded with (seed, 2000 + t), so
+    a step's draws do not depend on how many the earlier steps made. The
+    caller can save each step's checkpoint and assignments between yields.
+    """
     frozen: FrozenAssignments | None = None
-    per_step: dict[int, FrozenAssignments] = {}
-    all_stats: list[StepStats] = []
     for step in range(1, cfg.num_steps + 1):
+        rng = np.random.default_rng([seed, 2000 + step])
         frozen_t, stats = train_code_step(model, optimizer, data, frozen, step,
                                           cfg, rng, log_fn=log_fn)
         if frozen is not None:
             for iid, sid in frozen_t.ids.items():
                 if sid[: step - 1] != frozen.ids[iid]:
                     raise AssertionError(f"freeze invariant violated for {iid!r}")
-        per_step[step] = frozen_t
-        all_stats.append(stats)
+        yield frozen_t, stats
         frozen = frozen_t
-    return per_step, all_stats

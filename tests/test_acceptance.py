@@ -202,8 +202,8 @@ class TestCriterion4ProgressiveInvariants:
         tcfg = ProgressiveConfig(num_steps=3, codebook_size=6, warmup_batches=3,
                                  group_size=4, batch_size=32, queries_per_item=2,
                                  epochs_per_step=1, lr=1e-3)
-        per_step, _ = progressive_train(model, optimizer, data, tcfg,
-                                        np.random.default_rng(72))
+        per_step = {frozen.step: frozen
+                    for frozen, _ in progressive_train(model, optimizer, data, tcfg, seed=72)}
 
         freeze_ok = True
         for step in (2, 3):

@@ -9,8 +9,9 @@ import pytest
 from semidx import autodiff as ad
 from semidx.index import (CodeIndex, assign_all_ids, beam_search_decode,
                           beam_search_decode_batch, dense_rank, dense_retrieve,
-                          generative_retrieve, hierarchical_kmeans_codes,
-                          item_representation_matrix, kmeans)
+                          generative_retrieve, greedy_decode_rows,
+                          hierarchical_kmeans_codes, item_representation_matrix,
+                          kmeans)
 from semidx.model import ModelConfig, TransformerModel
 
 
@@ -70,6 +71,30 @@ class TestCodeIndex:
         idx = assign_all_ids(tiny_model, items, depth=2)
         assert idx.by_item["a"] == idx.by_item["b"]
         idx.validate()
+
+
+class TestBatchedInference:
+    def test_greedy_rows_match_single_query_calls(self, tiny_model):
+        """Rows of 1-9 tokens, decoded 5 at a time, so chunks mix lengths and
+        the last chunk is partial."""
+        rng = np.random.default_rng(6)
+        lengths = rng.permutation(list(range(1, 10)) * 2)
+        rows = [list(rng.integers(3, 40, size=n)) for n in lengths]
+        codes, finals = greedy_decode_rows(tiny_model, rows, depth=2, chunk=5)
+        assert codes.shape == (18, 2) and finals.shape == (18, 16)
+        for tokens, sid, final in zip(rows, codes, finals):
+            assert tuple(int(c) for c in sid) == tiny_model.generate_ids(tokens, 2)
+            assert np.allclose(final, tiny_model.final_representation(tokens, 2),
+                               rtol=0.0, atol=1e-9)
+
+    def test_empty_row_rejected(self, tiny_model):
+        items = {"a": [3, 4], "b": []}
+        with pytest.raises(ValueError, match="empty"):
+            assign_all_ids(tiny_model, items, depth=2)
+        with pytest.raises(ValueError, match="empty"):
+            item_representation_matrix(tiny_model, items, depth=2)
+        with pytest.raises(ValueError, match="empty"):
+            beam_search_decode_batch(tiny_model, [[3, 4], []], beam_width=2, depth=2)
 
 
 class TestBeamSearch:

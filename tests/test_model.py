@@ -2,13 +2,17 @@
 lookups against direct computation, EMA invariants, checkpoint round-trips."""
 
 import itertools
+import os
 
 import numpy as np
 import pytest
 
 from semidx import autodiff as ad
+from semidx.index import CodeIndex
 from semidx.model import (Codebook, ModelConfig, TransformerModel,
-                          checkpoint_hash, load_checkpoint, save_checkpoint)
+                          checkpoint_hash, load_checkpoint, pad_rows,
+                          save_checkpoint)
+from semidx.training import FrozenAssignments
 
 
 @pytest.fixture
@@ -62,6 +66,19 @@ class TestEncode:
         mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0]])
         batched = tiny_model.encode_batch(padded, mask).data[0]
         assert np.allclose(plain, batched[:3], atol=1e-6)
+
+
+class TestPadRows:
+    def test_layout(self):
+        tokens, mask = pad_rows([[5, 6, 7], [8]])
+        assert tokens.tolist() == [[5, 6, 7], [8, 0, 0]]
+        assert mask.tolist() == [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]]
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError):
+            pad_rows([])
+        with pytest.raises(ValueError, match="row 1 is empty"):
+            pad_rows([[3], []])
 
 
 class TestDecodeStep:
@@ -297,6 +314,44 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    def test_truncated_or_extended_rejected(self, tiny_model, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model)
+        raw = path.read_bytes()
+        header_len = int.from_bytes(raw[8:16], "little")
+        damaged = {"inside the length field": raw[:12],
+                   "inside the header": raw[:16 + header_len // 2],
+                   "inside the payload": raw[:-5],
+                   "one trailing byte": raw + b"\0"}
+        for what, data in damaged.items():
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match="truncated or corrupt checkpoint"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("writer", ["checkpoint", "index", "assignments"])
+    def test_failed_write_keeps_previous_file(self, writer, tiny_model, tmp_path,
+                                              monkeypatch):
+        def save(path, version):
+            if writer == "checkpoint":
+                save_checkpoint(path, tiny_model, extra={"version": version})
+            elif writer == "index":
+                CodeIndex(num_steps=2, codebook_size=3, checkpoint_hash=version).save(path)
+            else:
+                FrozenAssignments(step=1, ids={"a": (0,)}, checkpoint_hash=version).save(path)
+
+        path = tmp_path / "artifact"
+        save(path, "old")
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("simulated failure before the rename")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="simulated"):
+            save(path, "new")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
     def test_hash_changes_with_content(self, tiny_model, tmp_path):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

@@ -330,8 +330,8 @@ class TestTrainCodeStep:
         optimizer = Optimizer(model.parameters(), lr=1e-3)
         data = AlignmentData.from_corpus(corpus, vocab, 16)
         cfg = self._cfg()
-        per_step, _ = progressive_train(model, optimizer, data, cfg,
-                                        np.random.default_rng(9))
+        per_step = {frozen.step: frozen
+                    for frozen, _ in progressive_train(model, optimizer, data, cfg, seed=9)}
         assert set(per_step) == {1, 2}
         for iid, sid in per_step[2].ids.items():
             assert len(sid) == 2
