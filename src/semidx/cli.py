@@ -26,8 +26,9 @@ from semidx.config import (ConfigError, RunConfig, config_hash, dump_config,
                            from_dict, load_config, to_dict)
 from semidx.data import (Corpus, Vocab, build_vocab, load_corpus, split_pairs,
                          synth_corpus, write_items, write_pairs)
-from semidx.model import (TransformerModel, checkpoint_hash, load_checkpoint,
-                          pad_rows, save_checkpoint)
+from semidx.metrics import RankedList
+from semidx.model import (TransformerModel, atomic_writer, checkpoint_hash,
+                          load_checkpoint, pad_rows, save_checkpoint)
 from semidx.pretrain import PretrainData, run_pretraining
 from semidx.training import AlignmentData, progressive_train
 
@@ -42,6 +43,11 @@ def _hash_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _write_text(path: Path, text: str) -> None:
+    with atomic_writer(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
 def _write_manifest(cfg: RunConfig, command: str, inputs: dict[str, Path]) -> None:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -51,8 +57,8 @@ def _write_manifest(cfg: RunConfig, command: str, inputs: dict[str, Path]) -> No
         "config_hash": config_hash(cfg),
         "inputs": {name: _hash_file(p) for name, p in sorted(inputs.items())},
     }
-    (out / f"{command}_manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_text(out / f"{command}_manifest.json",
+                json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     dump_config(cfg, out / "config.resolved.json")
 
 
@@ -251,75 +257,65 @@ def _heldout_queries(cfg: RunConfig, vocab: Vocab, model) -> tuple[list[str], li
     return query_ids, token_rows, judgments
 
 
-def _dense_runs(model, vocab, corpus, query_ids, query_states, k):
-    """Rank every item by its final state's dot product with each query state."""
-    tokenized = {iid: vocab.encode(it.text, model.config.max_text_len)
-                 for iid, it in sorted(corpus.items.items())}
-    matrix, item_ids = index_mod.item_representation_matrix(
-        model, tokenized, model.trained_steps)
-    return [index_mod.dense_rank(q, matrix, item_ids, k, query_id=qid)
-            for qid, q in zip(query_ids, query_states)]
-
-
-def _generative_runs(model, idx, query_ids, token_rows, beam_width, cutoff):
-    beams_per_query = index_mod.beam_search_decode_batch(
-        model, token_rows, beam_width, depth=idx.num_steps, constrain=True, index=idx)
-    return [index_mod.generative_retrieve(model, idx, tokens, beam_width, cutoff,
-                                          query_id=qid, beams=beams)
-            for qid, tokens, beams in zip(query_ids, token_rows, beams_per_query)]
-
-
-def _run_to_dict(run) -> dict:
-    return {"query_id": run.query_id, "item_ids": run.item_ids, "scores": run.scores}
-
-
-def cmd_retrieve(cfg: RunConfig, from_checkpoint: str | None = None,
-                 mode: str = "both") -> int:
-    if mode not in ("dense", "generative", "both"):
-        raise ConfigError(f"unknown retrieval mode {mode!r}")
-    model, vocab, ckpt_path = _load_model_for_inference(cfg, from_checkpoint)
-    corpus = _load_train_corpus(cfg)
-    query_ids, token_rows, _ = _heldout_queries(cfg, vocab, model)
-    out = Path(cfg.out_dir)
-    inputs = {"model": ckpt_path}
-    if mode in ("dense", "both"):
-        _, query_states = index_mod.greedy_decode_rows(model, token_rows, model.trained_steps)
-        runs = _dense_runs(model, vocab, corpus, query_ids, query_states, cfg.eval.dense_k)
-        (out / "runs_dense.json").write_text(
-            json.dumps([_run_to_dict(r) for r in runs], sort_keys=True), encoding="utf-8")
-    if mode in ("generative", "both"):
-        idx_path = _require(out / "index.json", "code index")
-        idx = index_mod.CodeIndex.load(idx_path,
-                                       expected_checkpoint_hash=checkpoint_hash(ckpt_path))
-        runs = _generative_runs(model, idx, query_ids, token_rows,
-                                cfg.eval.beam_width, cfg.eval.retrieve_cutoff)
-        (out / "runs_generative.json").write_text(
-            json.dumps([_run_to_dict(r) for r in runs], sort_keys=True), encoding="utf-8")
-        inputs["index"] = idx_path
-    _write_manifest(cfg, "retrieve", inputs)
-    return EXIT_OK
-
-
-def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
+def cmd_retrieve(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
     model, vocab, ckpt_path = _load_model_for_inference(cfg, from_checkpoint)
     corpus = _load_train_corpus(cfg)
     out = Path(cfg.out_dir)
     idx_path = _require(out / "index.json", "code index")
     idx = index_mod.CodeIndex.load(idx_path,
                                    expected_checkpoint_hash=checkpoint_hash(ckpt_path))
+    query_ids, token_rows, _ = _heldout_queries(cfg, vocab, model)
+    depth, beam_width = model.trained_steps, cfg.eval.beam_width
+    # dense: every item ranked by its final state's dot product with the query's
+    _, query_states = index_mod.greedy_decode_rows(model, token_rows, depth)
+    tokenized = {iid: vocab.encode(it.text, model.config.max_text_len)
+                 for iid, it in sorted(corpus.items.items())}
+    matrix, item_ids = index_mod.item_representation_matrix(model, tokenized, depth)
+    dense = [index_mod.dense_rank(q, matrix, item_ids, cfg.eval.dense_k, query_id=qid)
+             for qid, q in zip(query_ids, query_states)]
+    beams_per_query = index_mod.beam_search_decode_batch(
+        model, token_rows, beam_width, depth=idx.num_steps, constrain=True, index=idx)
+    generative = [index_mod.generative_retrieve(model, idx, tokens, beam_width,
+                                                cfg.eval.retrieve_cutoff, query_id=qid,
+                                                beams=beams)
+                  for qid, tokens, beams in zip(query_ids, token_rows, beams_per_query)]
+    for mode, runs in (("dense", dense), ("generative", generative)):
+        _write_text(out / f"runs_{mode}.json",
+                    json.dumps([vars(r) for r in runs], sort_keys=True))
+    _write_manifest(cfg, "retrieve", {"model": ckpt_path, "index": idx_path})
+    return EXIT_OK
+
+
+def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
+    """Score the runs that retrieve wrote with this config, checkpoint and index."""
+    max_k = max(max(cfg.eval.recall_ks), cfg.eval.mrr_k)
+    if cfg.eval.dense_k < max_k:
+        raise ConfigError(f"eval.dense_k ({cfg.eval.dense_k}) is below the largest "
+                          f"recall or MRR cutoff ({max_k})")
+    model, vocab, ckpt_path = _load_model_for_inference(cfg, from_checkpoint)
+    corpus = _load_train_corpus(cfg)
+    out = Path(cfg.out_dir)
+    idx_path = _require(out / "index.json", "code index")
+    model_hash = checkpoint_hash(ckpt_path)
+    idx = index_mod.CodeIndex.load(idx_path, expected_checkpoint_hash=model_hash)
+    manifest = json.loads(_require(out / "retrieve_manifest.json", "retrieve manifest")
+                          .read_text(encoding="utf-8"))
+    if manifest.get("config_hash") != config_hash(cfg):
+        raise ConfigError("retrieve ran with another config; run retrieve again")
+    if manifest.get("inputs") != {"model": model_hash, "index": _hash_file(idx_path)}:
+        raise ConfigError("retrieve ran on another checkpoint or index; run retrieve again")
     query_ids, token_rows, judgments = _heldout_queries(cfg, vocab, model)
     if not query_ids:
         raise ConfigError("no evaluation queries available")
 
     metrics: list[dict] = []
-    max_k = max(max(cfg.eval.recall_ks), cfg.eval.mrr_k)
-    # one greedy pass gives the dense query states and the consistency codes
-    query_codes, query_states = index_mod.greedy_decode_rows(model, token_rows,
-                                                             model.trained_steps)
-    dense_runs = _dense_runs(model, vocab, corpus, query_ids, query_states, max_k)
-    gen_runs = _generative_runs(model, idx, query_ids, token_rows,
-                                cfg.eval.beam_width, cfg.eval.retrieve_cutoff)
-    for mode, runs in (("dense", dense_runs), ("generative", gen_runs)):
+    run_paths = {mode: out / f"runs_{mode}.json" for mode in ("dense", "generative")}
+    for mode, path in run_paths.items():
+        rows = json.loads(_require(path, "retrieval runs").read_text(encoding="utf-8"))
+        runs = [RankedList(**row) for row in rows]
+        if [r.query_id for r in runs] != query_ids:
+            raise ConfigError(f"{path.name} does not answer the held-out queries in "
+                              "order; run retrieve again")
         for k in cfg.eval.recall_ks:
             metrics.append({"name": "recall", "mode": mode, "k": k,
                             "value": metrics_mod.recall_at_k(runs, judgments, k),
@@ -355,6 +351,7 @@ def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
                                 "value": value, "item_count": len(common)})
 
     # query-item code consistency on the held-out pairs
+    query_codes, _ = index_mod.greedy_decode_rows(model, token_rows, model.trained_steps)
     query_sids = {qid: tuple(int(c) for c in row) for qid, row in zip(query_ids, query_codes)}
     pairs = [(qid, next(iter(judgments[qid]))) for qid in query_ids]
     for level in cfg.eval.consistency_levels:
@@ -364,7 +361,8 @@ def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
         metrics.append({"name": "code_consistency", "level": level, "value": value,
                         "pair_count": len(pairs)})
 
-    inputs = {"model": ckpt_path, "index": idx_path}
+    inputs = {"model": ckpt_path, "index": idx_path,
+              **{f"runs_{mode}": path for mode, path in run_paths.items()}}
     if cfg.eval.kmeans_baseline:
         pre_path = _require(out / "pretrain.ckpt", "pre-trained checkpoint for the baseline")
         pre_model = load_checkpoint(pre_path).model
@@ -388,8 +386,7 @@ def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
         inputs["pretrain_checkpoint"] = pre_path
 
     report = {"config_hash": config_hash(cfg), "metrics": metrics}
-    (out / "metrics.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
-                                      encoding="utf-8")
+    _write_text(out / "metrics.json", json.dumps(report, sort_keys=True, indent=2) + "\n")
     _write_manifest(cfg, "eval", inputs)
     return EXIT_OK
 
@@ -410,9 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in ("pretrain", "train", "index", "retrieve", "eval"):
             p.add_argument("--from", dest="from_checkpoint",
                            help="checkpoint to resume from / operate on")
-        if name == "retrieve":
-            p.add_argument("--mode", choices=["dense", "generative", "both"],
-                           default="both")
     return parser
 
 
@@ -445,7 +439,7 @@ def main(argv=None) -> int:
         if args.command == "index":
             return cmd_index(cfg, from_checkpoint=args.from_checkpoint)
         if args.command == "retrieve":
-            return cmd_retrieve(cfg, from_checkpoint=args.from_checkpoint, mode=args.mode)
+            return cmd_retrieve(cfg, from_checkpoint=args.from_checkpoint)
         if args.command == "eval":
             return cmd_eval(cfg, from_checkpoint=args.from_checkpoint)
         raise ConfigError(f"unknown command {args.command!r}")

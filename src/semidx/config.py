@@ -1,7 +1,8 @@
 """Run configuration: one JSON document drives every pipeline command.
 
-Unknown keys are rejected so typos fail loudly; every command writes the
-fully resolved config next to its outputs.
+Unknown keys and unknown values of the string-valued choices are rejected
+so typos fail loudly; every command writes the fully resolved config next
+to its outputs.
 """
 
 from __future__ import annotations
@@ -124,6 +125,17 @@ def _build(cls, payload: dict, where: str):
     return cls(**payload)
 
 
+# the allowed values of each string-valued choice, checked when a config loads
+_CHOICES = {
+    ("data", "tokenizer_mode"): ("word", "char"),
+    ("pretrain", "optimizer"): ("adam", "sgd"),
+    ("pretrain", "cloze_target"): ("full", "spans"),
+    ("train", "optimizer"): ("adam", "sgd"),
+    ("train", "kl_gradient"): ("both", "stop_item"),
+    ("train", "pair_weighting"): ("uniform", "weighted"),
+}
+
+
 def from_dict(payload: dict) -> RunConfig:
     payload = dict(payload)
     kwargs = {}
@@ -140,7 +152,12 @@ def from_dict(payload: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown top-level config key(s): {sorted(unknown)}")
     kwargs.update(payload)
-    return RunConfig(**kwargs)
+    cfg = RunConfig(**kwargs)
+    for (section, key), allowed in _CHOICES.items():
+        value = getattr(getattr(cfg, section), key)
+        if value not in allowed:
+            raise ConfigError(f"{section}.{key} must be one of {list(allowed)}, not {value!r}")
+    return cfg
 
 
 def to_dict(cfg: RunConfig) -> dict:

@@ -449,6 +449,8 @@ class TransformerModel:
 
 _MAGIC = b"SIDXCKPT"
 FORMAT_VERSION = 1
+_HEADER_KEYS = ("arrays", "codebooks", "config", "extra", "format_version", "optimizer",
+                "trained_steps", "vocab_hash")
 
 
 @contextmanager
@@ -542,6 +544,11 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         header = json.loads(raw[16:16 + header_len].decode("utf-8"))
     except ValueError as exc:
         raise corrupt("header is not UTF-8 JSON") from exc
+    if not isinstance(header, dict):
+        raise corrupt("header is not a JSON object")
+    missing = [k for k in _HEADER_KEYS if k not in header]
+    if missing:
+        raise corrupt(f"header lacks {', '.join(missing)}")
     if header["format_version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version {header['format_version']}")
     payload = raw[16 + header_len:]
@@ -554,23 +561,30 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
     if total != len(payload):
         raise corrupt(f"payload holds {len(payload)} bytes, the manifest {total}")
 
-    def read_array(entry) -> np.ndarray:
+    by_name = {entry["name"]: entry for entry in header["arrays"]}
+
+    def read_array(name: str) -> np.ndarray:
+        if name not in by_name:
+            raise corrupt(f"array {name} is missing")
+        entry = by_name[name]
         arr = np.frombuffer(payload, dtype="<f8", count=int(np.prod(entry["shape"])),
                             offset=entry["offset"])
         return arr.reshape(tuple(entry["shape"])).astype(np.float64)
 
-    by_name = {entry["name"]: entry for entry in header["arrays"]}
     config = ModelConfig(**header["config"])
     model = TransformerModel(config, vocab_hash=header["vocab_hash"])
     model.trained_steps = int(header["trained_steps"])
     for name, tensor in model.params.items():
-        tensor.data = read_array(by_name[f"param.{name}"])
+        tensor.data = read_array(f"param.{name}")
+    if len(header["codebooks"]) != len(model.codebooks):
+        raise corrupt(f"{len(header['codebooks'])} codebooks listed, the model has "
+                      f"{len(model.codebooks)}")
     for cb, meta in zip(model.codebooks, header["codebooks"]):
         cb.decay = float(meta["decay"])
         cb.laplace_eps = float(meta["laplace_eps"])
-        cb.embeddings.data = read_array(by_name[f"codebook.{cb.step}.embeddings"])
-        cb.ema_counts = read_array(by_name[f"codebook.{cb.step}.ema_counts"])
-        cb.ema_sums = read_array(by_name[f"codebook.{cb.step}.ema_sums"])
+        cb.embeddings.data = read_array(f"codebook.{cb.step}.embeddings")
+        cb.ema_counts = read_array(f"codebook.{cb.step}.ema_counts")
+        cb.ema_sums = read_array(f"codebook.{cb.step}.ema_sums")
 
     opt_state = None
     if header["optimizer"] is not None:
@@ -579,9 +593,9 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         opt_state["v"] = {}
         for name in by_name:
             if name.startswith("opt.m."):
-                opt_state["m"][name[len("opt.m."):]] = read_array(by_name[name])
+                opt_state["m"][name[len("opt.m."):]] = read_array(name)
             elif name.startswith("opt.v."):
-                opt_state["v"][name[len("opt.v."):]] = read_array(by_name[name])
+                opt_state["v"][name[len("opt.v."):]] = read_array(name)
     return CheckpointBundle(model=model, optimizer_state=opt_state, extra=header["extra"])
 
 

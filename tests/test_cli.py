@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from semidx import cli
 from semidx.cli import main
 from semidx.config import ConfigError, from_dict, load_config
 from semidx.model import load_checkpoint
@@ -100,6 +101,13 @@ class TestExitCodes:
         vocab_path.write_text(json.dumps(payload))
         assert main(["train", "--config", str(cfg_path)]) == 2
 
+    def test_misspelt_choice_is_config_error(self, tmp_path):
+        cfg = mini_config(tmp_path / "run")
+        cfg["train"]["pair_weighting"] = "wieghted"
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["synth", "--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "run").exists()
+
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run([sys.executable, "-m", "semidx.cli", "synth",
                                  "--out", str(tmp_path / "run")],
@@ -117,7 +125,7 @@ class TestPipelineArtifacts:
                          "runs_dense.json", "runs_generative.json", "metrics.json"):
             assert (out / artifact).exists(), artifact
         manifest = json.loads((out / "eval_manifest.json").read_text())
-        assert set(manifest["inputs"]) == {"model", "index"}
+        assert set(manifest["inputs"]) == {"model", "index", "runs_dense", "runs_generative"}
         report = json.loads((out / "metrics.json").read_text())
         names = {m["name"] for m in report["metrics"]}
         assert {"recall", "mrr", "ami", "code_consistency"} <= names
@@ -170,6 +178,94 @@ class TestPipelineArtifacts:
         assert all(s["code_usage_entropy"] > 0 for s in summaries)
 
 
+@pytest.fixture(scope="class")
+def retrieved(tmp_path_factory):
+    """One mini run through retrieve, shared by the eval-contract tests."""
+    root = tmp_path_factory.mktemp("retrieved")
+    cfg = mini_config(root / "run")
+    cfg_path = write_config(root, cfg)
+    for command in ("synth", "pretrain", "train", "index", "retrieve"):
+        assert main([command, "--config", str(cfg_path)]) == 0, command
+    return root / "run", cfg, cfg_path
+
+
+class TestEvalScoresRetrieveRuns:
+    @pytest.fixture
+    def run(self, retrieved):
+        """The shared run; every JSON artifact a test alters is put back."""
+        out = retrieved[0]
+        saved = {p: p.read_bytes() for p in out.glob("*.json")}
+        yield retrieved
+        for p in out.glob("*.json"):
+            if p not in saved:
+                p.unlink()
+        for p, data in saved.items():
+            p.write_bytes(data)
+
+    @staticmethod
+    def eval_refused(cfg_path, capsys, reason) -> bool:
+        capsys.readouterr()
+        code = main(["eval", "--config", str(cfg_path)])
+        return code == 2 and reason in capsys.readouterr().err
+
+    def test_missing_runs_refused(self, run, capsys):
+        out, _, cfg_path = run
+        for mode in ("dense", "generative"):
+            (out / f"runs_{mode}.json").unlink()
+        assert self.eval_refused(cfg_path, capsys, "missing retrieval runs")
+        assert not (out / "metrics.json").exists()
+
+    def test_missing_retrieve_manifest_refused(self, run, capsys):
+        out, _, cfg_path = run
+        (out / "retrieve_manifest.json").unlink()
+        assert self.eval_refused(cfg_path, capsys, "missing retrieve manifest")
+
+    def test_other_checkpoint_refused(self, run, capsys):
+        out, _, cfg_path = run
+        path = out / "retrieve_manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["inputs"]["model"] = "0" * 64
+        path.write_text(json.dumps(manifest))
+        assert self.eval_refused(cfg_path, capsys, "another checkpoint or index")
+
+    def test_other_config_refused(self, run, tmp_path, capsys):
+        _, cfg, _ = run
+        cfg = json.loads(json.dumps(cfg))
+        cfg["eval"]["beam_width"] += 1
+        assert self.eval_refused(write_config(tmp_path, cfg), capsys, "another config")
+
+    def test_dropped_query_refused(self, run, capsys):
+        out, _, cfg_path = run
+        path = out / "runs_dense.json"
+        path.write_text(json.dumps(json.loads(path.read_text())[1:]))
+        assert self.eval_refused(cfg_path, capsys, "runs_dense.json does not answer")
+
+    def test_dense_k_below_largest_cutoff_refused(self, run, tmp_path, capsys, monkeypatch):
+        _, cfg, _ = run
+        cfg = json.loads(json.dumps(cfg))
+        cfg["eval"]["dense_k"] = cfg["eval"]["mrr_k"] - 1
+
+        def no_model_work(*args, **kwargs):
+            raise AssertionError("the dense_k check comes before any model work")
+
+        monkeypatch.setattr(cli, "load_checkpoint", no_model_work)
+        assert self.eval_refused(write_config(tmp_path, cfg), capsys, "eval.dense_k")
+
+    def test_eval_recomputes_no_retrieval(self, run, monkeypatch):
+        out, _, cfg_path = run
+        assert main(["eval", "--config", str(cfg_path)]) == 0
+        first = (out / "metrics.json").read_bytes()
+        (out / "metrics.json").unlink()
+
+        def recomputed(*args, **kwargs):
+            raise AssertionError("eval must score the runs retrieve wrote")
+
+        for name in ("beam_search_decode_batch", "item_representation_matrix", "dense_rank"):
+            monkeypatch.setattr(cli.index_mod, name, recomputed)
+        assert main(["eval", "--config", str(cfg_path)]) == 0
+        assert (out / "metrics.json").read_bytes() == first
+
+
 class TestOneItemCorpus:
     def test_both_modes_return_the_item(self, tmp_path):
         out = tmp_path / "run"
@@ -185,7 +281,7 @@ class TestOneItemCorpus:
         cfg_path = write_config(tmp_path, cfg)
         for command in ("pretrain", "train", "index"):
             assert main([command, "--config", str(cfg_path)]) == 0, command
-        assert main(["retrieve", "--config", str(cfg_path), "--mode", "both"]) == 0
+        assert main(["retrieve", "--config", str(cfg_path)]) == 0
         for name in ("runs_dense.json", "runs_generative.json"):
             runs = json.loads((out / name).read_text())
             assert all(r["item_ids"] == ["solo"] for r in runs), name

@@ -2,7 +2,9 @@
 lookups against direct computation, EMA invariants, checkpoint round-trips."""
 
 import itertools
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -324,6 +326,28 @@ class TestCheckpoint:
                    "inside the header": raw[:16 + header_len // 2],
                    "inside the payload": raw[:-5],
                    "one trailing byte": raw + b"\0"}
+        for what, data in damaged.items():
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match="truncated or corrupt checkpoint"):
+                load_checkpoint(path)
+
+    def test_header_without_a_key_or_array_rejected(self, tiny_model, tmp_path):
+        path = tmp_path / "m.ckpt"
+        header = json.dumps({"format_version": 1}).encode("utf-8")
+        path.write_bytes(b"SIDXCKPT" + struct.pack("<Q", len(header)) + header)
+        with pytest.raises(ValueError, match="truncated or corrupt checkpoint"):
+            load_checkpoint(path)
+        save_checkpoint(path, tiny_model)
+        raw = path.read_bytes()
+        header_len = int.from_bytes(raw[8:16], "little")
+        header = json.loads(raw[16:16 + header_len])
+        header["codebooks"] = header["codebooks"][:1]
+        short = json.dumps(header, sort_keys=True).encode("utf-8")
+        damaged = {
+            "a parameter missing from the manifest":
+                raw.replace(b'"param.tok_emb"', b'"param.tok_emX"'),
+            "one codebook fewer than the model has":
+                raw[:8] + struct.pack("<Q", len(short)) + short + raw[16 + header_len:]}
         for what, data in damaged.items():
             path.write_bytes(data)
             with pytest.raises(ValueError, match="truncated or corrupt checkpoint"):
