@@ -139,8 +139,7 @@ def cmd_pretrain(cfg: RunConfig, resume_from: str | None = None) -> int:
         start_epoch = int(bundle.extra.get("epochs_completed", 0))
     else:
         texts = [it.text for it in corpus.items.values()] + [p.query for p in corpus.pairs]
-        vocab = build_vocab(texts, max_size=cfg.data.vocab_max_size,
-                            min_freq=cfg.data.vocab_min_freq, mode=cfg.data.tokenizer_mode)
+        vocab = build_vocab(texts, min_freq=cfg.data.vocab_min_freq)
         vocab.save(out / "vocab.json")
         model_cfg = cfg.resolved().model
         model_cfg.vocab_size = len(vocab)
@@ -155,9 +154,7 @@ def cmd_pretrain(cfg: RunConfig, resume_from: str | None = None) -> int:
                                   epochs=cfg.pretrain.epochs,
                                   batch_size=cfg.pretrain.batch_size,
                                   seed=cfg.seed, log_fn=log,
-                                  examples_per_epoch=cfg.pretrain.examples_per_epoch,
-                                  start_epoch=start_epoch,
-                                  cloze_target=cfg.pretrain.cloze_target)
+                                  start_epoch=start_epoch)
     finally:
         fh.close()
     save_checkpoint(out / "pretrain.ckpt", model, optimizer,
@@ -201,6 +198,7 @@ def cmd_train(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
             log({"phase": "step_summary", "step": frozen.step,
                  "code_usage_entropy": stats.code_usage_entropy,
                  "dead_codes_reinit": stats.dead_codes_reinit,
+                 "skipped_updates": optimizer.skipped_updates,
                  "batches": stats.batches})
     finally:
         fh.close()
@@ -239,11 +237,17 @@ def cmd_index(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
     return EXIT_OK
 
 
-def _heldout_queries(cfg: RunConfig, vocab: Vocab, model) -> tuple[list[str], list[list[int]], dict[str, set[str]]]:
+def _query_inputs(cfg: RunConfig) -> dict[str, Path]:
+    """The corpus files the held-out queries and their judgments come from."""
     items_path, pairs_path, heldout_path = _corpus_paths(cfg)
-    source = heldout_path if heldout_path.exists() else pairs_path
-    corpus, _ = load_corpus(_require(items_path, "corpus items file"),
-                            _require(source, "query pairs file"))
+    return {"items": items_path,
+            "queries": heldout_path if heldout_path.exists() else pairs_path}
+
+
+def _heldout_queries(cfg: RunConfig, vocab: Vocab, model) -> tuple[list[str], list[list[int]], dict[str, set[str]]]:
+    source = _query_inputs(cfg)
+    corpus, _ = load_corpus(_require(source["items"], "corpus items file"),
+                            _require(source["queries"], "query pairs file"))
     query_ids, token_rows = [], []
     judgments: dict[str, set[str]] = {}
     for i, pair in enumerate(corpus.pairs):
@@ -282,7 +286,8 @@ def cmd_retrieve(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
     for mode, runs in (("dense", dense), ("generative", generative)):
         _write_text(out / f"runs_{mode}.json",
                     json.dumps([vars(r) for r in runs], sort_keys=True))
-    _write_manifest(cfg, "retrieve", {"model": ckpt_path, "index": idx_path})
+    _write_manifest(cfg, "retrieve", {"model": ckpt_path, "index": idx_path,
+                                      **_query_inputs(cfg)})
     return EXIT_OK
 
 
@@ -302,8 +307,13 @@ def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
                           .read_text(encoding="utf-8"))
     if manifest.get("config_hash") != config_hash(cfg):
         raise ConfigError("retrieve ran with another config; run retrieve again")
-    if manifest.get("inputs") != {"model": model_hash, "index": _hash_file(idx_path)}:
+    seen = manifest.get("inputs") or {}
+    if [seen.get("model"), seen.get("index")] != [model_hash, _hash_file(idx_path)]:
         raise ConfigError("retrieve ran on another checkpoint or index; run retrieve again")
+    query_inputs = _query_inputs(cfg)
+    if [seen.get(k) for k in query_inputs] != [_hash_file(p) for p in query_inputs.values()]:
+        raise ConfigError("retrieve read other corpus items or held-out queries; "
+                          "run retrieve again")
     query_ids, token_rows, judgments = _heldout_queries(cfg, vocab, model)
     if not query_ids:
         raise ConfigError("no evaluation queries available")
@@ -361,7 +371,7 @@ def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
         metrics.append({"name": "code_consistency", "level": level, "value": value,
                         "pair_count": len(pairs)})
 
-    inputs = {"model": ckpt_path, "index": idx_path,
+    inputs = {"model": ckpt_path, "index": idx_path, **query_inputs,
               **{f"runs_{mode}": path for mode, path in run_paths.items()}}
     if cfg.eval.kmeans_baseline:
         pre_path = _require(out / "pretrain.ckpt", "pre-trained checkpoint for the baseline")

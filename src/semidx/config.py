@@ -31,8 +31,6 @@ class DataConfig:
     tokens_per_level: int = 6
     noise_pool_size: int = 60
     holdout_per_item: int = 1
-    tokenizer_mode: str = "word"
-    vocab_max_size: int | None = None
     vocab_min_freq: int = 1
 
 
@@ -42,8 +40,6 @@ class PretrainConfig:
     batch_size: int = 16
     lr: float = 2e-3
     optimizer: str = "adam"
-    examples_per_epoch: int | None = None  # None: one example per item
-    cloze_target: str = "full"  # or "spans": sentinel-delimited span targets
 
 
 @dataclass
@@ -68,13 +64,10 @@ class ProgressiveConfig:
     temperature: float = 1.0
     alignment_weight: float = 1.0
     commitment_weight: float = 1.0
-    kl_gradient: str = "both"        # or "stop_item"
     mask_same_item: bool = True
-    symmetric_contrastive: bool = False
     dead_code_threshold: float = 0.5
     reinit_interval_batches: int = 10  # 0: only at epoch boundaries
     reinit_pool_size: int = 512
-    pair_weighting: str = "uniform"
 
 
 @dataclass
@@ -127,12 +120,8 @@ def _build(cls, payload: dict, where: str):
 
 # the allowed values of each string-valued choice, checked when a config loads
 _CHOICES = {
-    ("data", "tokenizer_mode"): ("word", "char"),
     ("pretrain", "optimizer"): ("adam", "sgd"),
-    ("pretrain", "cloze_target"): ("full", "spans"),
     ("train", "optimizer"): ("adam", "sgd"),
-    ("train", "kl_gradient"): ("both", "stop_item"),
-    ("train", "pair_weighting"): ("uniform", "weighted"),
 }
 
 

@@ -32,20 +32,17 @@ def normalize_text(text: str) -> str:
     return " ".join(text.split())
 
 
-def tokenize(text: str, mode: str = "word") -> list[str]:
-    """Whitespace/punctuation tokenization; "char" mode splits to characters."""
-    text = normalize_text(text)
-    if mode == "word":
-        return _WORD_RE.findall(text)
-    if mode == "char":
-        return [c for c in text if not c.isspace()]
-    raise ValueError(f"unknown tokenizer mode {mode!r}")
+def tokenize(text: str) -> list[str]:
+    """Whitespace/punctuation tokenization into words."""
+    return _WORD_RE.findall(normalize_text(text))
 
 
 @dataclass
 class Vocab:
+    """Word vocabulary. ``vocab.json`` and the content hash carry the
+    tokenizer name ``"word"``, the only one there is."""
+
     tokens: list[str]
-    mode: str = "word"
     index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
@@ -72,11 +69,11 @@ class Vocab:
         return self.index.get(token, self.index[UNK])
 
     def content_hash(self) -> str:
-        payload = self.mode + "\n" + "\n".join(self.tokens)
+        payload = "word\n" + "\n".join(self.tokens)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def encode(self, text: str, max_len: int | None = None) -> list[int]:
-        ids = [self.token_id(t) for t in tokenize(text, self.mode)]
+        ids = [self.token_id(t) for t in tokenize(text)]
         if max_len is not None:
             ids = ids[:max_len]
         return ids
@@ -88,21 +85,37 @@ class Vocab:
             if i < 0 or i >= len(self.tokens):
                 raise IndexError(f"token index {i} out of range for vocabulary of {len(self.tokens)}")
             out.append(self.tokens[i])
-        sep = " " if self.mode == "word" else ""
-        return sep.join(out)
+        return " ".join(out)
 
     def save(self, path: str | Path) -> None:
-        payload = {"mode": self.mode, "tokens": self.tokens}
+        payload = {"mode": "word", "tokens": self.tokens}
         Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(tokens=payload["tokens"], mode=payload["mode"])
+        def corrupt(what: str) -> ValueError:
+            return ValueError(f"{path}: corrupt vocabulary file ({what})")
+
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise corrupt("not UTF-8 JSON") from exc
+        if not isinstance(payload, dict):
+            raise corrupt("not a JSON object")
+        missing = [k for k in ("mode", "tokens") if k not in payload]
+        if missing:
+            raise corrupt(f"lacks {', '.join(missing)}")
+        if payload["mode"] != "word":
+            raise corrupt(f"tokenizer {payload['mode']!r}, not 'word'")
+        tokens = payload["tokens"]
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise corrupt("tokens is not a list of strings")
+        if tokens[:len(RESERVED_TOKENS)] != list(RESERVED_TOKENS):
+            raise corrupt("tokens do not start with the reserved tokens")
+        return cls(tokens=tokens)
 
 
-def build_vocab(texts, max_size: int | None = None, min_freq: int = 1,
-                mode: str = "word") -> Vocab:
+def build_vocab(texts, min_freq: int = 1) -> Vocab:
     """Frequency-ranked vocabulary with a fixed reserved prefix.
 
     Ties are broken lexicographically so the result is deterministic for a
@@ -112,14 +125,12 @@ def build_vocab(texts, max_size: int | None = None, min_freq: int = 1,
     seen_any = False
     for text in texts:
         seen_any = True
-        counts.update(tokenize(text, mode))
+        counts.update(tokenize(text))
     if not seen_any:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     kept = [tok for tok, c in ranked if c >= min_freq and tok not in RESERVED_TOKENS]
-    if max_size is not None:
-        kept = kept[: max(0, max_size - len(RESERVED_TOKENS))]
-    return Vocab(tokens=list(RESERVED_TOKENS) + kept, mode=mode)
+    return Vocab(tokens=list(RESERVED_TOKENS) + kept)
 
 
 # ---------------------------------------------------------------------------

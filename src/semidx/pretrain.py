@@ -81,33 +81,24 @@ def sample_cloze_spans(length: int, rng: np.random.Generator) -> list[tuple[int,
 
 
 def build_item_cloze(item_tokens: list[int], vocab: Vocab, rng: np.random.Generator,
-                     spans: list[tuple[int, int]] | None = None,
-                     target_format: str = "full") -> PretrainExample:
-    """Replace each sampled span with a distinct sentinel.
-
-    The default target is the complete original text; ``target_format=
-    "spans"`` emits sentinel-delimited masked spans instead. ``spans``
-    overrides sampling (test hook; an empty list leaves the input unmasked).
+                     spans: list[tuple[int, int]] | None = None) -> PretrainExample:
+    """Replace each sampled span with a distinct sentinel; the target is the
+    complete original text. ``spans`` overrides sampling (test hook; an
+    empty list leaves the input unmasked).
     """
-    if target_format not in ("full", "spans"):
-        raise ValueError(f"unknown cloze target format {target_format!r}")
     if spans is None:
         spans = sample_cloze_spans(len(item_tokens), rng)
     masked: list[int] = []
-    span_target: list[int] = []
     cursor = 0
     for k, (start, span_len) in enumerate(spans):
         sentinel = vocab.token_id(MASK_SENTINELS[min(k, len(MASK_SENTINELS) - 1)])
         masked.extend(item_tokens[cursor:start])
         masked.append(sentinel)
-        span_target.append(sentinel)
-        span_target.extend(item_tokens[start:start + span_len])
         cursor = start + span_len
     masked.extend(item_tokens[cursor:])
     tag = vocab.token_id(TASK_CLOZE)
-    target = list(item_tokens) if target_format == "full" or not spans else span_target
     return PretrainExample(task="item_cloze", input_tokens=[tag] + masked,
-                           target_tokens=target, spans=list(spans))
+                           target_tokens=list(item_tokens), spans=list(spans))
 
 
 def build_suffix_completion(item_tokens: list[int], query_tokens: list[int],
@@ -145,8 +136,7 @@ class PretrainData:
 
 
 def sample_examples(data: PretrainData, count: int, vocab: Vocab,
-                    rng: np.random.Generator,
-                    cloze_target: str = "full") -> tuple[list[PretrainExample], dict[str, int]]:
+                    rng: np.random.Generator) -> tuple[list[PretrainExample], dict[str, int]]:
     """Draw ``count`` examples, tasks i.i.d. uniform; unbuildable draws are
     skipped and counted."""
     examples: list[PretrainExample] = []
@@ -163,7 +153,7 @@ def sample_examples(data: PretrainData, count: int, vocab: Vocab,
         if task == "query_generation":
             ex = build_query_generation(item, queries, vocab, rng)
         elif task == "item_cloze":
-            ex = build_item_cloze(item, vocab, rng, target_format=cloze_target)
+            ex = build_item_cloze(item, vocab, rng)
         else:
             q = queries[int(rng.integers(len(queries)))] if queries else None
             ex = build_suffix_completion(item, q, vocab, rng) if q else None
@@ -216,16 +206,14 @@ class PretrainHistory:
 
 def run_pretraining(model: TransformerModel, optimizer, data: PretrainData,
                     vocab: Vocab, epochs: int, batch_size: int, seed: int,
-                    log_fn=None, examples_per_epoch: int | None = None,
-                    start_epoch: int = 0, cloze_target: str = "full") -> PretrainHistory:
-    """Epoch loop; per-epoch RNG derives from (seed, epoch) so a resumed run
-    continues with fresh but reproducible sampling."""
+                    log_fn=None, start_epoch: int = 0) -> PretrainHistory:
+    """Epoch loop of one example per item; per-epoch RNG derives from
+    (seed, epoch) so a resumed run continues with fresh but reproducible
+    sampling."""
     history = PretrainHistory()
-    per_epoch = examples_per_epoch or len(data.item_ids)
     for epoch in range(start_epoch, epochs):
         rng = np.random.default_rng([seed, 1000 + epoch])
-        examples, skipped = sample_examples(data, per_epoch, vocab, rng,
-                                            cloze_target=cloze_target)
+        examples, skipped = sample_examples(data, len(data.item_ids), vocab, rng)
         for t, c in skipped.items():
             history.skipped_examples[t] += c
         for start in range(0, len(examples), batch_size):
@@ -239,5 +227,6 @@ def run_pretraining(model: TransformerModel, optimizer, data: PretrainData,
             if log_fn is not None:
                 log_fn({"phase": "pretrain", "epoch": epoch,
                         "step": optimizer.step_count, "loss": value,
+                        "skipped_updates": optimizer.skipped_updates,
                         "task_counts": dict(history.task_counts)})
     return history

@@ -116,17 +116,17 @@ class AlignmentData:
 
     item_ids: list[str]
     item_tokens: dict[str, list[int]]
-    item_queries: dict[str, list[tuple[list[int], int]]]  # (tokens, weight)
+    item_queries: dict[str, list[list[int]]]
 
     @classmethod
     def from_corpus(cls, corpus: Corpus, vocab: Vocab, max_text_len: int) -> "AlignmentData":
         item_tokens = {iid: vocab.encode(it.text, max_text_len)
                        for iid, it in corpus.items.items()}
-        item_queries: dict[str, list[tuple[list[int], int]]] = {iid: [] for iid in corpus.items}
+        item_queries: dict[str, list[list[int]]] = {iid: [] for iid in corpus.items}
         for p in corpus.pairs:
             q = vocab.encode(p.query, max_text_len)
             if q:
-                item_queries[p.item_id].append((q, p.weight))
+                item_queries[p.item_id].append(q)
         ids = [iid for iid in sorted(corpus.items)
                if item_tokens[iid] and item_queries[iid]]
         return cls(item_ids=ids, item_tokens=item_tokens, item_queries=item_queries)
@@ -136,31 +136,23 @@ class AlignmentData:
 # sampling and batching
 # ---------------------------------------------------------------------------
 
-def multi_query_sample(queries: list, m: int, rng: np.random.Generator,
-                       weights=None) -> list:
+def multi_query_sample(queries: list, m: int, rng: np.random.Generator) -> list:
     """m distinct queries when available, with replacement otherwise."""
     if not queries:
         raise ValueError("item has no queries to sample from")
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        w = w / w.sum()
-    else:
-        w = None
     n = len(queries)
     if n >= m:
-        idx = rng.choice(n, size=m, replace=False, p=w)
+        idx = rng.choice(n, size=m, replace=False)
     else:
-        idx = rng.choice(n, size=m, replace=True, p=w)
+        idx = rng.choice(n, size=m, replace=True)
     return [queries[int(i)] for i in idx]
 
 
-def build_epoch_entries(data: AlignmentData, m: int, rng: np.random.Generator,
-                        weighted: bool = False) -> list[PairEntry]:
+def build_epoch_entries(data: AlignmentData, m: int,
+                        rng: np.random.Generator) -> list[PairEntry]:
     entries: list[PairEntry] = []
     for iid in data.item_ids:
-        pool = data.item_queries[iid]
-        weights = [w for _, w in pool] if weighted else None
-        for q in multi_query_sample([q for q, _ in pool], m, rng, weights=weights):
+        for q in multi_query_sample(data.item_queries[iid], m, rng):
             entries.append(PairEntry(query_tokens=list(q), item_id=iid))
     return entries
 
@@ -271,7 +263,7 @@ def batch_forward(batch: TrainPairBatch, model: TransformerModel,
 
 
 def contrastive_term(fwd: BatchForward, temperature: float = 1.0,
-                     mask_same_item: bool = True, symmetric: bool = False) -> Tensor:
+                     mask_same_item: bool = True) -> Tensor:
     """In-batch softmax over query-item dot products, averaged over pairs.
 
     With masking on, entries sharing the anchor's item id are removed from
@@ -288,20 +280,12 @@ def contrastive_term(fwd: BatchForward, temperature: float = 1.0,
         bias[same & ~np.eye(B, dtype=bool)] = -1e9
     log_probs = ad.log_softmax(ad.add(scores, bias), axis=-1)
     diag = ad.sum_(ad.mul(log_probs, np.eye(B)), axis=-1)
-    loss = ad.mul(ad.sum_(diag), -1.0 / B)
-    if symmetric:
-        scores_t = ad.transpose(scores, (1, 0))
-        log_probs_t = ad.log_softmax(ad.add(scores_t, bias.T), axis=-1)
-        diag_t = ad.sum_(ad.mul(log_probs_t, np.eye(B)), axis=-1)
-        loss = ad.mul(ad.add(loss, ad.mul(ad.sum_(diag_t), -1.0 / B)), 0.5)
-    return loss
+    return ad.mul(ad.sum_(diag), -1.0 / B)
 
 
-def kl_term(fwd: BatchForward, model: TransformerModel, temperature: float = 1.0,
-            kl_gradient: str = "both") -> Tensor:
-    """Sum over steps t=1..T of KL(query code dist || item code dist)."""
-    if kl_gradient not in ("both", "stop_item"):
-        raise ValueError(f"unknown kl_gradient mode {kl_gradient!r}")
+def kl_term(fwd: BatchForward, model: TransformerModel, temperature: float = 1.0) -> Tensor:
+    """Sum over steps t=1..T of KL(query code dist || item code dist);
+    gradients reach both sides."""
     B = fwd.q_final.shape[0]
     D = model.config.hidden_size
     U = len(fwd.unique_item_ids)
@@ -313,8 +297,6 @@ def kl_term(fwd: BatchForward, model: TransformerModel, temperature: float = 1.0
         p_q = cb.distribution(q_t, temperature=temperature)
         p_d_unique = cb.distribution(d_t, temperature=temperature)
         p_d = ad.embedding(p_d_unique, fwd.entry_item_idx)
-        if kl_gradient == "stop_item":
-            p_d = ad.stop_gradient(p_d)
         kl = ad.kl_divergence(p_q, p_d)
         total = kl if total is None else ad.add(total, kl)
     return ad.mul(ad.sum_(total), 1.0 / B)
@@ -322,14 +304,12 @@ def kl_term(fwd: BatchForward, model: TransformerModel, temperature: float = 1.0
 
 def alignment_loss(batch: TrainPairBatch, model: TransformerModel, data: AlignmentData,
                    temperature: float = 1.0, mask_same_item: bool = True,
-                   kl_gradient: str = "both", symmetric: bool = False,
                    fwd: BatchForward | None = None) -> Tensor:
     """Contrastive + per-step KL, averaged over the batch's pairs."""
     if fwd is None:
         fwd = batch_forward(batch, model, data)
-    con = contrastive_term(fwd, temperature=temperature,
-                           mask_same_item=mask_same_item, symmetric=symmetric)
-    kl = kl_term(fwd, model, temperature=temperature, kl_gradient=kl_gradient)
+    con = contrastive_term(fwd, temperature=temperature, mask_same_item=mask_same_item)
+    kl = kl_term(fwd, model, temperature=temperature)
     return ad.add(con, kl)
 
 
@@ -425,8 +405,7 @@ def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
     batch_counter = 0
 
     for epoch in range(cfg.epochs_per_step):
-        entries = build_epoch_entries(data, cfg.queries_per_item, rng,
-                                      weighted=cfg.pair_weighting == "weighted")
+        entries = build_epoch_entries(data, cfg.queries_per_item, rng)
         batches = build_prefix_batches(frozen, entries, step, cfg.group_size,
                                        cfg.batch_size, rng)
         for batch in batches:
@@ -434,14 +413,12 @@ def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
             warmup = batch_counter < cfg.warmup_batches
             fwd = batch_forward(batch, model, data, train=True)
             con = contrastive_term(fwd, temperature=cfg.temperature,
-                                   mask_same_item=cfg.mask_same_item,
-                                   symmetric=cfg.symmetric_contrastive)
+                                   mask_same_item=cfg.mask_same_item)
             if warmup:
                 loss = ad.mul(con, cfg.alignment_weight)
                 kl_value = com_value = 0.0
             else:
-                kl = kl_term(fwd, model, temperature=cfg.temperature,
-                             kl_gradient=cfg.kl_gradient)
+                kl = kl_term(fwd, model, temperature=cfg.temperature)
                 com = commitment_loss(batch, model, data,
                                       temperature=cfg.temperature, fwd=fwd)
                 align = ad.add(con, kl)

@@ -8,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semidx import cli
+from semidx.autodiff import Optimizer
 from semidx.cli import main
 from semidx.config import ConfigError, from_dict, load_config
 from semidx.model import load_checkpoint
@@ -51,6 +53,10 @@ def hash_tree(root: Path, names) -> dict:
     return {n: hashlib.sha256((root / n).read_bytes()).hexdigest() for n in names}
 
 
+def read_jsonl(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -70,6 +76,16 @@ class TestConfig:
         assert cfg.train.codebook_size == 4
         resolved = cfg.resolved()
         assert resolved.model.num_steps == cfg.train.num_steps
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("data", "tokenizer_mode", "word"), ("data", "vocab_max_size", None),
+        ("pretrain", "examples_per_epoch", None), ("pretrain", "cloze_target", "full"),
+        ("train", "kl_gradient", "both"), ("train", "symmetric_contrastive", False),
+        ("train", "pair_weighting", "uniform")])
+    def test_deleted_key_rejected(self, section, key, value):
+        """Each deleted key, even at its old default, is an unknown key."""
+        with pytest.raises(ConfigError, match=key):
+            from_dict({section: {key: value}})
 
 
 class TestExitCodes:
@@ -101,9 +117,22 @@ class TestExitCodes:
         vocab_path.write_text(json.dumps(payload))
         assert main(["train", "--config", str(cfg_path)]) == 2
 
+    def test_corrupt_vocab_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path, mini_config(out))
+        assert main(["synth", "--config", str(cfg_path)]) == 0
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+        vocab_path = out / "vocab.json"
+        payload = json.loads(vocab_path.read_text())
+        del payload["mode"]
+        vocab_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert "corrupt vocabulary file (lacks mode)" in capsys.readouterr().err
+
     def test_misspelt_choice_is_config_error(self, tmp_path):
         cfg = mini_config(tmp_path / "run")
-        cfg["train"]["pair_weighting"] = "wieghted"
+        cfg["train"]["optimizer"] = "adma"
         cfg_path = write_config(tmp_path, cfg)
         assert main(["synth", "--config", str(cfg_path)]) == 2
         assert not (tmp_path / "run").exists()
@@ -124,8 +153,11 @@ class TestPipelineArtifacts:
                          "assignments_step1.json", "assignments_step2.json",
                          "runs_dense.json", "runs_generative.json", "metrics.json"):
             assert (out / artifact).exists(), artifact
+        manifest = json.loads((out / "retrieve_manifest.json").read_text())
+        assert set(manifest["inputs"]) == {"model", "index", "items", "queries"}
         manifest = json.loads((out / "eval_manifest.json").read_text())
-        assert set(manifest["inputs"]) == {"model", "index", "runs_dense", "runs_generative"}
+        assert set(manifest["inputs"]) == {"model", "index", "items", "queries",
+                                           "runs_dense", "runs_generative"}
         report = json.loads((out / "metrics.json").read_text())
         names = {m["name"] for m in report["metrics"]}
         assert {"recall", "mrr", "ami", "code_consistency"} <= names
@@ -177,6 +209,26 @@ class TestPipelineArtifacts:
         assert len(summaries) == 2
         assert all(s["code_usage_entropy"] > 0 for s in summaries)
 
+    @pytest.mark.filterwarnings("ignore:non-finite gradient")
+    def test_skipped_update_logged(self, tmp_path, monkeypatch):
+        class FirstGradientNonFinite(Optimizer):
+            def step(self):
+                if self.step_count == 0 and self.skipped_updates == 0:
+                    p = next(iter(self.params.values()))
+                    p.grad = np.full_like(p.data, np.nan)
+                return super().step()
+
+        monkeypatch.setattr(cli, "Optimizer", FirstGradientNonFinite)
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path, mini_config(out))
+        for command in ("synth", "pretrain", "train"):
+            assert main([command, "--config", str(cfg_path)]) == 0
+        pretrain_log = read_jsonl(out / "pretrain_log.jsonl")
+        assert [r["skipped_updates"] for r in pretrain_log] == [1] * len(pretrain_log)
+        summaries = [r for r in read_jsonl(out / "train_log.jsonl")
+                     if r["phase"] == "step_summary"]
+        assert [s["skipped_updates"] for s in summaries] == [1, 1]
+
 
 @pytest.fixture(scope="class")
 def retrieved(tmp_path_factory):
@@ -192,9 +244,9 @@ def retrieved(tmp_path_factory):
 class TestEvalScoresRetrieveRuns:
     @pytest.fixture
     def run(self, retrieved):
-        """The shared run; every JSON artifact a test alters is put back."""
+        """The shared run; every JSON artifact or corpus file a test alters is put back."""
         out = retrieved[0]
-        saved = {p: p.read_bytes() for p in out.glob("*.json")}
+        saved = {p: p.read_bytes() for p in [*out.glob("*.json"), *out.glob("data/*.jsonl")]}
         yield retrieved
         for p in out.glob("*.json"):
             if p not in saved:
@@ -227,6 +279,17 @@ class TestEvalScoresRetrieveRuns:
         manifest["inputs"]["model"] = "0" * 64
         path.write_text(json.dumps(manifest))
         assert self.eval_refused(cfg_path, capsys, "another checkpoint or index")
+
+    def test_edited_heldout_refused(self, run, capsys):
+        out, _, cfg_path = run
+        path = out / "data" / "pairs_heldout.jsonl"
+        pairs = read_jsonl(path)
+        targets = [p["item_id"] for p in pairs]
+        for pair, other in zip(pairs, targets[1:] + targets[:1]):
+            pair["item_id"] = other
+        path.write_text("".join(json.dumps(p) + "\n" for p in pairs))
+        assert self.eval_refused(cfg_path, capsys, "held-out queries; run retrieve again")
+        assert not (out / "metrics.json").exists()
 
     def test_other_config_refused(self, run, tmp_path, capsys):
         _, cfg, _ = run

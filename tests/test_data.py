@@ -65,9 +65,24 @@ class TestVocab:
         assert loaded.tokens == vocab.tokens
         assert loaded.content_hash() == vocab.content_hash()
 
-    def test_char_mode(self):
-        vocab = build_vocab(["ab"], mode="char")
-        assert vocab.encode("ab") == [vocab.index["a"], vocab.index["b"]]
+    @pytest.mark.parametrize("text, reason", [
+        ('{"mode": "word", "tokens": ["<pad>"', "not UTF-8 JSON"),
+        (json.dumps([]), "not a JSON object"),
+        (json.dumps({"mode": "word"}), "lacks tokens"),
+        (json.dumps({"tokens": list(RESERVED_TOKENS)}), "lacks mode"),
+        (json.dumps({"mode": "char", "tokens": list(RESERVED_TOKENS)}), "tokenizer 'char'"),
+        (json.dumps({"mode": "word", "tokens": list(RESERVED_TOKENS[1:]) + ["a"]}),
+         "reserved tokens"),
+        (json.dumps({"mode": "word", "tokens": list(RESERVED_TOKENS) + [7]}), "list of strings"),
+    ], ids=["truncated", "not-object", "no-tokens", "no-mode", "char-mode", "no-pad",
+            "non-string"])
+    def test_corrupt_file_rejected(self, tmp_path, text, reason):
+        path = tmp_path / "v.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            Vocab.load(path)
+        assert f"{path}: corrupt vocabulary file (" in str(exc.value)
+        assert reason in str(exc.value)
 
     def test_tokenize_splits_punctuation(self):
         assert tokenize("a,b c") == ["a", ",", "b", "c"]

@@ -108,18 +108,6 @@ class TestItemCloze:
             used = [t for t in ex.input_tokens if t in sentinel_ids]
             assert len(used) == len(set(used)) == len(ex.spans)
 
-    def test_span_target_format(self, vocab):
-        """The alternative target layout: sentinel-delimited masked spans."""
-        item = toks(vocab, 10)
-        spans = [(1, 2), (5, 1)]
-        ex = build_item_cloze(item, vocab, np.random.default_rng(0), spans=spans,
-                              target_format="spans")
-        m0, m1 = vocab.index[MASK_SENTINELS[0]], vocab.index[MASK_SENTINELS[1]]
-        assert ex.target_tokens == [m0] + item[1:3] + [m1] + item[5:6]
-        with pytest.raises(ValueError):
-            build_item_cloze(item, vocab, np.random.default_rng(0),
-                             target_format="words")
-
 
 class TestSuffixCompletion:
     def test_partition_reconstructs(self, vocab):
