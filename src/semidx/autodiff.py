@@ -51,9 +51,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> Tensor:
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -358,11 +355,6 @@ def mean(t, axis=None, keepdims: bool = False) -> Tensor:
     return mul(sum_(t, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
-def stop_gradient(t: Tensor) -> Tensor:
-    """A constant view of ``t``: forward value shared, no gradient path."""
-    return Tensor(t.data)
-
-
 def dropout(t: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     if p <= 0.0:
         return t
@@ -394,7 +386,7 @@ def softmax(t, axis: int = -1, temperature: float = 1.0) -> Tensor:
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     if not np.isfinite(t.data).all():
-        raise ValueError("softmax input must be finite")
+        raise FloatingPointError("softmax input must be finite")
     z = t.data / temperature
     z = z - z.max(axis=axis, keepdims=True)
     e = np.exp(z)
@@ -412,7 +404,7 @@ def log_softmax(t, axis: int = -1, temperature: float = 1.0) -> Tensor:
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     if not np.isfinite(t.data).all():
-        raise ValueError("log_softmax input must be finite")
+        raise FloatingPointError("log_softmax input must be finite")
     z = t.data / temperature
     z = z - z.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from semidx.model import ModelConfig
+from semidx.model import ModelConfig, atomic_writer
 
 
 class ConfigError(ValueError):
@@ -164,8 +164,8 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def dump_config(cfg: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(to_dict(cfg), sort_keys=True, indent=2) + "\n",
-                          encoding="utf-8")
+    with atomic_writer(path) as fh:
+        fh.write((json.dumps(to_dict(cfg), sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def config_hash(cfg: RunConfig) -> str:

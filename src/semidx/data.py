@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from semidx.model import atomic_writer
+
 logger = logging.getLogger(__name__)
 
 PAD, UNK, BOS = "<pad>", "<unk>", "<s>"
@@ -89,7 +91,8 @@ class Vocab:
 
     def save(self, path: str | Path) -> None:
         payload = {"mode": "word", "tokens": self.tokens}
-        Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        with atomic_writer(path) as fh:
+            fh.write(json.dumps(payload, sort_keys=True).encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":

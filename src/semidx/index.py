@@ -5,7 +5,8 @@ carrying it (IDs are cluster labels: collisions are expected). Queries are
 answered either generatively (beam search over per-step code distributions,
 optionally constrained to prefixes present in the trie, then expanding the
 top IDs to their item buckets) or densely (dot products of final decoder
-states).
+states). Both run batched; a single query is a one-row batch, and its beam
+scores are bit-identical to B=1 exhaustive scoring.
 
 Also provides the hierarchical k-means coder used to build semantic codes
 on top of plain embeddings for baseline comparisons.
@@ -22,6 +23,10 @@ import numpy as np
 from semidx import autodiff as ad
 from semidx.metrics import RankedList
 from semidx.model import SemanticId, TransformerModel, atomic_writer, pad_rows
+
+
+_INDEX_KEYS = ("version", "checkpoint_hash", "num_steps", "codebook_size", "item_count",
+               "assignments")
 
 
 @dataclass
@@ -66,9 +71,6 @@ class CodeIndex:
             if node is None:
                 return None
         return node
-
-    def has_prefix(self, prefix: SemanticId) -> bool:
-        return self._find(prefix) is not None
 
     def children_of(self, prefix: SemanticId) -> list[int]:
         node = self._find(prefix)
@@ -118,16 +120,32 @@ class CodeIndex:
 
     @classmethod
     def load(cls, path: str | Path, expected_checkpoint_hash: str | None = None) -> "CodeIndex":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("version") != 1:
-            raise ValueError(f"unsupported index version {payload.get('version')!r}")
+        def corrupt(what: str) -> ValueError:
+            return ValueError(f"{path}: corrupt index file ({what})")
+
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise corrupt("not UTF-8 JSON") from exc
+        if not isinstance(payload, dict):
+            raise corrupt("not a JSON object")
+        missing = [k for k in _INDEX_KEYS if k not in payload]
+        if missing:
+            raise corrupt(f"lacks {', '.join(missing)}")
+        if payload["version"] != 1:
+            raise ValueError(f"unsupported index version {payload['version']!r}")
         if (expected_checkpoint_hash is not None
                 and payload["checkpoint_hash"] != expected_checkpoint_hash):
             raise ValueError("index was built from a different model checkpoint")
+        if not isinstance(payload["assignments"], list):
+            raise corrupt("assignments is not a list")
         idx = cls(num_steps=payload["num_steps"], codebook_size=payload["codebook_size"],
                   checkpoint_hash=payload["checkpoint_hash"])
-        for sid, item_id in payload["assignments"]:
-            idx.insert(item_id, tuple(sid))
+        for i, row in enumerate(payload["assignments"]):
+            if not (isinstance(row, list) and len(row) == 2 and isinstance(row[0], list)
+                    and all(isinstance(c, int) for c in row[0]) and isinstance(row[1], str)):
+                raise corrupt(f"assignment row {i} is not [list of ints, str]")
+            idx.insert(row[1], tuple(row[0]))
         if len(idx) != payload["item_count"]:
             raise ValueError("index item count mismatch")
         idx.validate()
@@ -167,50 +185,22 @@ def beam_search_decode(model: TransformerModel, query_tokens, beam_width: int,
                        depth: int, constrain: bool = False,
                        index: CodeIndex | None = None,
                        temperature: float = 1.0) -> list[tuple[SemanticId, float]]:
-    """Beam over per-step log code probabilities; score = summed log prob.
-
-    With ``constrain`` set, only prefixes present in ``index`` survive.
-    Results are sorted by descending score, ties broken by lexicographic ID,
-    which makes width K^T exactly reproduce exhaustive sequence scoring.
-
-    This B=1 path is kept beside ``beam_search_decode_batch`` because a
-    decoder row computed inside a batch differs from the same row at B=1 in
-    the last bits (about 1e-9 in the scores). Single-query serving and the
-    bit-exact exhaustive-scoring oracles use this path.
-    """
-    if beam_width < 1:
-        raise ValueError("beam width must be >= 1")
-    if constrain and index is None:
-        raise ValueError("constrained decoding needs an index")
-    model._check_depth(depth)
-    memory = model.encode(list(query_tokens))
-    beams: list[tuple[SemanticId, float]] = [((), 0.0)]
-    for t in range(1, depth + 1):
-        candidates: list[tuple[SemanticId, float]] = []
-        for prefix, score in beams:
-            d_t = model.decode_step(memory, prefix, t)
-            log_p = ad.log_softmax(model.codebooks[t - 1].logits(d_t),
-                                   temperature=temperature).data
-            allowed = (index.children_of(prefix) if constrain
-                       else range(model.config.codebook_size))
-            for c in allowed:
-                candidates.append((prefix + (int(c),), score + float(log_p[int(c)])))
-        candidates.sort(key=lambda pair: (-pair[1], pair[0]))
-        beams = candidates[:beam_width]
-        if not beams:
-            return []
-    return beams
+    """``beam_search_decode_batch`` on a one-query batch, so its scores are
+    bit-identical to B=1 exhaustive scoring (``encode``, ``decode_step``)."""
+    return beam_search_decode_batch(model, [list(query_tokens)], beam_width, depth,
+                                    constrain=constrain, index=index,
+                                    temperature=temperature)[0]
 
 
 def beam_search_decode_batch(model: TransformerModel, token_rows: list[list[int]],
                              beam_width: int, depth: int, constrain: bool = False,
                              index: CodeIndex | None = None, temperature: float = 1.0,
                              chunk: int = 128) -> list[list[tuple[SemanticId, float]]]:
-    """``beam_search_decode`` for many queries, ``chunk`` queries per pass.
-
-    Beam scores match the B=1 path to about 1e-9, not bit for bit (batched
-    decoder rows differ in the last bits), so near-tied beams may trade
-    places. Batch work such as retrieve and eval uses this path.
+    """Beam over per-step log code probabilities, ``chunk`` queries per pass;
+    score = summed log prob. With ``constrain`` set, only prefixes present
+    in ``index`` survive. Beams sort by descending score, ties by ID, so
+    width K^T reproduces exhaustive sequence scoring: bit for bit for a
+    query alone in its batch, to about 1e-9 for queries padded together.
     """
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
@@ -238,9 +228,10 @@ def beam_search_decode_batch(model: TransformerModel, token_rows: list[list[int]
             mask_rep = mask[owners]
             states = model.decode_code_states(mem_rep, mask_rep, prefix_arr)
             d_t = states.data[:, t - 1, :]
-            log_p = ad.log_softmax(
-                ad.Tensor(d_t @ model.codebooks[t - 1].embeddings.data.T),
-                temperature=temperature).data
+            # one (1, D) x (D, K) product per row, as Codebook.logits computes
+            # it at B=1: one (W, D) x (D, K) GEMM differs in the last bits
+            logits = (d_t[:, None, :] @ model.codebooks[t - 1].embeddings.data.T)[:, 0, :]
+            log_p = ad.log_softmax(ad.Tensor(logits), temperature=temperature).data
             row = 0
             for qi, beams in enumerate(per_query):
                 candidates: list[tuple[SemanticId, float]] = []
@@ -311,8 +302,8 @@ def item_representation_matrix(model: TransformerModel, items: dict[str, list[in
 def dense_retrieve(model: TransformerModel, item_matrix: np.ndarray,
                    item_ids: list[str], query_tokens, depth: int, k: int,
                    query_id: str = "q") -> RankedList:
-    q = model.final_representation(list(query_tokens), depth)
-    return dense_rank(q, item_matrix, item_ids, k, query_id=query_id)
+    _, finals = greedy_decode_rows(model, [list(query_tokens)], depth)
+    return dense_rank(finals[0], item_matrix, item_ids, k, query_id=query_id)
 
 
 # ---------------------------------------------------------------------------

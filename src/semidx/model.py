@@ -318,7 +318,7 @@ class TransformerModel:
         return ad.layer_norm(x, p["enc_final.g"], p["enc_final.b"])
 
     def encode(self, tokens: Sequence[int]) -> Tensor:
-        """Single-sequence encoder memory: one D-vector per input position."""
+        """Single-sequence encoder memory (the B=1 reference for oracles)."""
         memory = self.encode_batch(*pad_rows([list(tokens)]))
         return ad.reshape(memory, (memory.shape[1], self.config.hidden_size))
 
@@ -361,7 +361,7 @@ class TransformerModel:
         return self._decode_stack(x, _causal_bias(P + 1), memory, cross_bias, train)
 
     def decode_step(self, memory: Tensor, prefix: Sequence[int], t: int) -> Tensor:
-        """d_t for a single sequence; ``prefix`` must hold exactly t-1 codes."""
+        """B=1 reference d_t for oracles; ``prefix`` holds exactly t-1 codes."""
         prefix = tuple(int(c) for c in prefix)
         if not (1 <= t <= self.config.num_steps):
             raise ValueError(f"step {t} outside [1, {self.config.num_steps}]")
@@ -393,13 +393,6 @@ class TransformerModel:
     # quantization surface
     # ------------------------------------------------------------------
 
-    def code_distribution(self, d_t: Tensor, t: int, temperature: float = 1.0) -> Tensor:
-        return self.codebooks[t - 1].distribution(d_t, temperature=temperature)
-
-    def assign_code(self, d_t, t: int):
-        values = d_t.data if isinstance(d_t, Tensor) else d_t
-        return self.codebooks[t - 1].assign(values)
-
     def _check_depth(self, depth: int) -> None:
         if depth < 1 or depth > self.config.num_steps:
             raise ValueError(f"depth {depth} outside [1, {self.config.num_steps}]")
@@ -425,16 +418,6 @@ class TransformerModel:
             assigned = self.codebooks[t - 1].assign(d_t)
             codes = np.concatenate([codes, assigned[:, None]], axis=1)
         return codes, final
-
-    def generate_ids(self, tokens: Sequence[int], depth: int) -> SemanticId:
-        """Greedy semantic ID: encode once, then decode/assign step by step."""
-        codes, _ = self.greedy_decode_batch(*pad_rows([list(tokens)]), depth)
-        return tuple(int(c) for c in codes[0])
-
-    def final_representation(self, tokens: Sequence[int], depth: int) -> np.ndarray:
-        """d_depth along the greedy chain (pre-quantization decoder state)."""
-        _, final = self.greedy_decode_batch(*pad_rows([list(tokens)]), depth)
-        return final[0]
 
     def mean_pooled_encoding(self, tokens: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Mask-aware mean of encoder states; the dense baseline embedding."""

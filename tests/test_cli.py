@@ -15,7 +15,7 @@ from semidx import cli
 from semidx.autodiff import Optimizer
 from semidx.cli import main
 from semidx.config import ConfigError, from_dict, load_config
-from semidx.model import load_checkpoint
+from semidx.model import load_checkpoint, save_checkpoint
 
 
 def mini_config(out_dir, **overrides) -> dict:
@@ -129,6 +129,19 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["train", "--config", str(cfg_path)]) == 2
         assert "corrupt vocabulary file (lacks mode)" in capsys.readouterr().err
+
+    def test_nonfinite_model_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path, mini_config(out))
+        for command in ("synth", "pretrain", "train"):
+            assert main([command, "--config", str(cfg_path)]) == 0, command
+        bundle = load_checkpoint(out / "model.ckpt")
+        bundle.model.params["tok_emb"].data[:] = np.nan
+        save_checkpoint(out / "model.ckpt", bundle.model)
+        capsys.readouterr()
+        assert main(["index", "--config", str(cfg_path)]) == 3
+        assert "softmax input must be finite" in capsys.readouterr().err
+        assert not (out / "index.json").exists()
 
     def test_misspelt_choice_is_config_error(self, tmp_path):
         cfg = mini_config(tmp_path / "run")

@@ -2,6 +2,7 @@
 the hierarchical k-means coder."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +14,10 @@ from semidx.index import (CodeIndex, assign_all_ids, beam_search_decode,
                           hierarchical_kmeans_codes, item_representation_matrix,
                           kmeans)
 from semidx.model import ModelConfig, TransformerModel
+
+
+INDEX_HEADER = {"version": 1, "checkpoint_hash": "", "num_steps": 1, "codebook_size": 2,
+                "item_count": 1}
 
 
 @pytest.fixture
@@ -66,6 +71,26 @@ class TestCodeIndex:
         with pytest.raises(ValueError):
             CodeIndex.load(path, expected_checkpoint_hash="other")
 
+    @pytest.mark.parametrize("text, reason", [
+        ('{"version": 1, "assignments": [', "not UTF-8 JSON"),
+        (json.dumps([]), "not a JSON object"),
+        (json.dumps({"version": 1}), "lacks checkpoint_hash, num_steps, codebook_size, "
+                                     "item_count, assignments"),
+        (json.dumps(dict(INDEX_HEADER, assignments={"a": [0]})), "assignments is not a list"),
+        (json.dumps(dict(INDEX_HEADER, assignments=[[[0], "a", 7]])), "row 0 is not"),
+        (json.dumps(dict(INDEX_HEADER, assignments=[[[0], "a"], ["0", "b"]])), "row 1 is not"),
+        (json.dumps(dict(INDEX_HEADER, assignments=[[[0.5], "a"]])), "row 0 is not"),
+        (json.dumps(dict(INDEX_HEADER, assignments=[[[0], 3]])), "row 0 is not"),
+    ], ids=["truncated", "not-object", "no-keys", "rows-not-list", "three-element-row",
+            "id-not-list", "float-code", "item-not-string"])
+    def test_corrupt_file_rejected(self, tmp_path, text, reason):
+        path = tmp_path / "index.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            CodeIndex.load(path)
+        assert f"{path}: corrupt index file (" in str(exc.value)
+        assert reason in str(exc.value)
+
     def test_assign_all_ids_deterministic_for_duplicates(self, tiny_model):
         items = {"a": [3, 4, 5], "b": [3, 4, 5], "c": [6, 7]}
         idx = assign_all_ids(tiny_model, items, depth=2)
@@ -83,9 +108,9 @@ class TestBatchedInference:
         codes, finals = greedy_decode_rows(tiny_model, rows, depth=2, chunk=5)
         assert codes.shape == (18, 2) and finals.shape == (18, 16)
         for tokens, sid, final in zip(rows, codes, finals):
-            assert tuple(int(c) for c in sid) == tiny_model.generate_ids(tokens, 2)
-            assert np.allclose(final, tiny_model.final_representation(tokens, 2),
-                               rtol=0.0, atol=1e-9)
+            one_codes, one_finals = greedy_decode_rows(tiny_model, [tokens], depth=2)
+            assert tuple(int(c) for c in sid) == tuple(int(c) for c in one_codes[0])
+            assert np.allclose(final, one_finals[0], rtol=0.0, atol=1e-9)
 
     def test_empty_row_rejected(self, tiny_model):
         items = {"a": [3, 4], "b": []}
@@ -103,7 +128,8 @@ class TestBeamSearch:
         for _ in range(10):
             tokens = list(rng.integers(3, 40, size=rng.integers(1, 8)))
             beams = beam_search_decode(tiny_model, tokens, beam_width=1, depth=2)
-            assert beams[0][0] == tiny_model.generate_ids(tokens, 2)
+            codes, _ = greedy_decode_rows(tiny_model, [tokens], depth=2)
+            assert beams[0][0] == tuple(int(c) for c in codes[0])
 
     def test_exhaustive_equivalence_bit_for_bit(self, tiny_model):
         """W = K^T enumerates everything: ranking equals brute-force scoring
@@ -124,6 +150,8 @@ class TestBeamSearch:
                 scored.append((sid, score))
             scored.sort(key=lambda pair: (-pair[1], pair[0]))
             assert beams == scored
+            assert beam_search_decode_batch(tiny_model, [tokens], beam_width=K ** T,
+                                            depth=T) == [scored]
 
     def test_constrained_returns_only_indexed_ids(self, tiny_model):
         rng = np.random.default_rng(4)
@@ -218,7 +246,8 @@ class TestDenseRetrieve:
         run = dense_retrieve(tiny_model, matrix, ids, [3, 4, 5], depth=2, k=3)
         assert len(run.item_ids) == 3
         # query identical to item i0's text scores exactly its representation
-        q = tiny_model.final_representation([3, 4, 5], 2)
+        _, finals = greedy_decode_rows(tiny_model, [[3, 4, 5]], depth=2)
+        q = finals[0]
         assert np.isclose(run.scores[0], float((matrix @ q).max()))
 
 

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from semidx import autodiff as ad
-from semidx.index import CodeIndex
+from semidx.config import dump_config, from_dict
+from semidx.data import RESERVED_TOKENS, Vocab
+from semidx.index import CodeIndex, greedy_decode_rows
 from semidx.model import (Codebook, ModelConfig, TransformerModel,
                           checkpoint_hash, load_checkpoint, pad_rows,
                           save_checkpoint)
@@ -25,6 +27,12 @@ def tiny_model():
     model = TransformerModel(cfg)
     model.trained_steps = cfg.num_steps
     return model
+
+
+def greedy(model, tokens, depth):
+    """Greedy semantic ID and final-step state of one token row."""
+    codes, finals = greedy_decode_rows(model, [tokens], depth)
+    return tuple(int(c) for c in codes[0]), finals[0]
 
 
 class TestConfig:
@@ -116,7 +124,7 @@ class TestCodeDistribution:
         cb = tiny_model.codebooks[0]
         cb.embeddings.data = np.tile(cb.embeddings.data[0], (cb.size, 1))
         d = ad.Tensor(np.random.default_rng(0).normal(size=16))
-        dist = tiny_model.code_distribution(d, 1)
+        dist = tiny_model.codebooks[0].distribution(d)
         assert np.allclose(dist.data, 1.0 / cb.size, atol=1e-12)
 
     def test_sharp_limit_on_orthonormal_rows(self):
@@ -138,7 +146,7 @@ class TestCodeDistribution:
         assert np.allclose(dist, expected, atol=1e-12)
 
     def test_quantization_oracle_1000_random(self):
-        """code_distribution and assign against direct dot-product/softmax."""
+        """distribution and assign against direct dot-product/softmax."""
         rng = np.random.default_rng(123)
         cb = Codebook(step=1, size=7, dim=5, rng=rng)
         for _ in range(1000):
@@ -179,39 +187,38 @@ class TestAssignCode:
 class TestGenerateIds:
     def test_depth_one_composition(self, tiny_model):
         tokens = [5, 6, 7]
-        sid = tiny_model.generate_ids(tokens, 1)
+        sid, _ = greedy(tiny_model, tokens, 1)
         memory = tiny_model.encode(tokens)
         d1 = tiny_model.decode_step(memory, (), 1)
-        assert sid == (tiny_model.assign_code(d1, 1),)
+        assert sid == (tiny_model.codebooks[0].assign(d1.data),)
 
     def test_prefix_property(self, tiny_model):
         tokens = [8, 9]
-        assert tiny_model.generate_ids(tokens, 2)[:1] == tiny_model.generate_ids(tokens, 1)
+        assert greedy(tiny_model, tokens, 2)[0][:1] == greedy(tiny_model, tokens, 1)[0]
 
     def test_untrained_depth_rejected(self, tiny_model):
         tiny_model.trained_steps = 1
         with pytest.raises(ValueError):
-            tiny_model.generate_ids([3], 2)
+            greedy(tiny_model, [3], 2)
 
     def test_codes_in_range(self, tiny_model):
         rng = np.random.default_rng(5)
         for _ in range(20):
             tokens = list(rng.integers(3, 30, size=rng.integers(1, 10)))
-            sid = tiny_model.generate_ids(tokens, 2)
+            sid, _ = greedy(tiny_model, tokens, 2)
             assert len(sid) == 2
             assert all(0 <= c < 3 for c in sid)
 
     def test_final_representation_matches_chain(self, tiny_model):
         tokens = [4, 5, 6]
-        sid = tiny_model.generate_ids(tokens, 2)
+        sid, rep = greedy(tiny_model, tokens, 2)
         memory = tiny_model.encode(tokens)
         d2 = tiny_model.decode_step(memory, sid[:1], 2)
-        rep = tiny_model.final_representation(tokens, 2)
         assert np.allclose(rep, d2.data, atol=1e-9)
 
     def test_identical_texts_identical_vectors(self, tiny_model):
-        a = tiny_model.final_representation([3, 4], 2)
-        b = tiny_model.final_representation([3, 4], 2)
+        _, a = greedy(tiny_model, [3, 4], 2)
+        _, b = greedy(tiny_model, [3, 4], 2)
         assert np.array_equal(a, b)
 
 
@@ -297,7 +304,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(12)
         for _ in range(10):
             tokens = list(rng.integers(3, 30, size=rng.integers(1, 8)))
-            assert tiny_model.generate_ids(tokens, 2) == loaded.generate_ids(tokens, 2)
+            assert greedy(tiny_model, tokens, 2)[0] == greedy(loaded, tokens, 2)[0]
 
     def test_optimizer_state_roundtrip(self, tiny_model, tmp_path):
         from semidx.autodiff import Optimizer
@@ -353,7 +360,8 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match="truncated or corrupt checkpoint"):
                 load_checkpoint(path)
 
-    @pytest.mark.parametrize("writer", ["checkpoint", "index", "assignments"])
+    @pytest.mark.parametrize("writer", ["checkpoint", "index", "assignments", "vocab",
+                                        "config"])
     def test_failed_write_keeps_previous_file(self, writer, tiny_model, tmp_path,
                                               monkeypatch):
         def save(path, version):
@@ -361,8 +369,12 @@ class TestCheckpoint:
                 save_checkpoint(path, tiny_model, extra={"version": version})
             elif writer == "index":
                 CodeIndex(num_steps=2, codebook_size=3, checkpoint_hash=version).save(path)
-            else:
+            elif writer == "assignments":
                 FrozenAssignments(step=1, ids={"a": (0,)}, checkpoint_hash=version).save(path)
+            elif writer == "vocab":
+                Vocab(tokens=list(RESERVED_TOKENS) + [version]).save(path)
+            else:
+                dump_config(from_dict({"out_dir": version}), path)
 
         path = tmp_path / "artifact"
         save(path, "old")
