@@ -355,13 +355,6 @@ def mean(t, axis=None, keepdims: bool = False) -> Tensor:
     return mul(sum_(t, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
-def dropout(t: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    if p <= 0.0:
-        return t
-    mask = (rng.random(t.data.shape) >= p) / (1.0 - p)
-    return mul(t, mask)
-
-
 def take_along_last(t: Tensor, idx) -> Tensor:
     """Pick one entry per row along the last axis (e.g. target log-probs)."""
     t = as_tensor(t)

@@ -221,7 +221,8 @@ def _load_model_for_inference(cfg: RunConfig, from_checkpoint: str | None):
 
 def cmd_index(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
     model, vocab, ckpt_path = _load_model_for_inference(cfg, from_checkpoint)
-    corpus = _load_train_corpus(cfg)
+    items_path, _, _ = _corpus_paths(cfg)
+    corpus, _ = load_corpus(_require(items_path, "corpus items file"), None)
     items = {iid: vocab.encode(it.text, model.config.max_text_len)
              for iid, it in sorted(corpus.items.items())}
     depth = model.trained_steps
@@ -231,7 +232,6 @@ def cmd_index(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
                                    checkpoint_hash=checkpoint_hash(ckpt_path))
     out = Path(cfg.out_dir)
     idx.save(out / "index.json")
-    items_path, pairs_path, _ = _corpus_paths(cfg)
     _write_manifest(cfg, "index", {"items": items_path, "model": ckpt_path})
     logger.info("index: %d items at depth %d", len(idx), depth)
     return EXIT_OK
@@ -244,7 +244,10 @@ def _query_inputs(cfg: RunConfig) -> dict[str, Path]:
             "queries": heldout_path if heldout_path.exists() else pairs_path}
 
 
-def _heldout_queries(cfg: RunConfig, vocab: Vocab, model) -> tuple[list[str], list[list[int]], dict[str, set[str]]]:
+def _heldout_queries(cfg: RunConfig, vocab: Vocab,
+                     model) -> tuple[Corpus, list[str], list[list[int]], dict[str, set[str]]]:
+    """The items with the held-out pairs, and the ids, token rows and judged
+    items of the held-out queries."""
     source = _query_inputs(cfg)
     corpus, _ = load_corpus(_require(source["items"], "corpus items file"),
                             _require(source["queries"], "query pairs file"))
@@ -258,17 +261,16 @@ def _heldout_queries(cfg: RunConfig, vocab: Vocab, model) -> tuple[list[str], li
         query_ids.append(qid)
         token_rows.append(tokens)
         judgments[qid] = {pair.item_id}
-    return query_ids, token_rows, judgments
+    return corpus, query_ids, token_rows, judgments
 
 
 def cmd_retrieve(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
     model, vocab, ckpt_path = _load_model_for_inference(cfg, from_checkpoint)
-    corpus = _load_train_corpus(cfg)
     out = Path(cfg.out_dir)
     idx_path = _require(out / "index.json", "code index")
     idx = index_mod.CodeIndex.load(idx_path,
                                    expected_checkpoint_hash=checkpoint_hash(ckpt_path))
-    query_ids, token_rows, _ = _heldout_queries(cfg, vocab, model)
+    corpus, query_ids, token_rows, _ = _heldout_queries(cfg, vocab, model)
     depth, beam_width = model.trained_steps, cfg.eval.beam_width
     # dense: every item ranked by its final state's dot product with the query's
     _, query_states = index_mod.greedy_decode_rows(model, token_rows, depth)
@@ -298,7 +300,6 @@ def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
         raise ConfigError(f"eval.dense_k ({cfg.eval.dense_k}) is below the largest "
                           f"recall or MRR cutoff ({max_k})")
     model, vocab, ckpt_path = _load_model_for_inference(cfg, from_checkpoint)
-    corpus = _load_train_corpus(cfg)
     out = Path(cfg.out_dir)
     idx_path = _require(out / "index.json", "code index")
     model_hash = checkpoint_hash(ckpt_path)
@@ -314,7 +315,7 @@ def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
     if [seen.get(k) for k in query_inputs] != [_hash_file(p) for p in query_inputs.values()]:
         raise ConfigError("retrieve read other corpus items or held-out queries; "
                           "run retrieve again")
-    query_ids, token_rows, judgments = _heldout_queries(cfg, vocab, model)
+    corpus, query_ids, token_rows, judgments = _heldout_queries(cfg, vocab, model)
     if not query_ids:
         raise ConfigError("no evaluation queries available")
 

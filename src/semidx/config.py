@@ -124,6 +124,11 @@ _CHOICES = {
     ("train", "optimizer"): ("adam", "sgd"),
 }
 
+# model keys the pipeline sets itself, each from the source named here; a
+# config may carry them only at their defaults, as config.resolved.json does
+_DERIVED_MODEL_KEYS = {"num_steps": "train.num_steps", "codebook_size": "train.codebook_size",
+                       "seed": "seed", "vocab_size": "the vocabulary"}
+
 
 def from_dict(payload: dict) -> RunConfig:
     payload = dict(payload)
@@ -146,6 +151,10 @@ def from_dict(payload: dict) -> RunConfig:
         value = getattr(getattr(cfg, section), key)
         if value not in allowed:
             raise ConfigError(f"{section}.{key} must be one of {list(allowed)}, not {value!r}")
+    default = RunConfig().model
+    for key, source in _DERIVED_MODEL_KEYS.items():
+        if getattr(cfg.model, key) != getattr(default, key):
+            raise ConfigError(f"model.{key} is set from {source}; leave it out of the config")
     return cfg
 
 

@@ -185,13 +185,13 @@ def _warn_unknown_fields(record: dict, known: set[str], warned: set[str]) -> Non
             logger.warning("ignoring unknown field %r in corpus record", key)
 
 
-def load_corpus(items_path: str | Path, pairs_path: str | Path,
+def load_corpus(items_path: str | Path, pairs_path: str | Path | None,
                 max_malformed_fraction: float = 0.01) -> tuple[Corpus, LoadReport]:
     """Load items + pairs with referential integrity checks.
 
     Malformed lines are counted and skipped; pairs referencing unknown items
     are rejected with their line number. More than ``max_malformed_fraction``
-    bad lines aborts with a report.
+    bad lines aborts with a report. ``pairs_path=None`` reads the items alone.
     """
     report = LoadReport()
     warned: set[str] = set()
@@ -218,7 +218,8 @@ def load_corpus(items_path: str | Path, pairs_path: str | Path,
             report.rejected_lines.append(f"items:{lineno}: {exc}")
 
     pairs: list[QueryItemPair] = []
-    for lineno, line in enumerate(Path(pairs_path).read_text(encoding="utf-8").splitlines(), 1):
+    pair_text = Path(pairs_path).read_text(encoding="utf-8") if pairs_path is not None else ""
+    for lineno, line in enumerate(pair_text.splitlines(), 1):
         if not line.strip():
             continue
         report.pair_lines += 1

@@ -183,18 +183,16 @@ def assign_all_ids(model: TransformerModel, items: dict[str, list[int]], depth: 
 
 def beam_search_decode(model: TransformerModel, query_tokens, beam_width: int,
                        depth: int, constrain: bool = False,
-                       index: CodeIndex | None = None,
-                       temperature: float = 1.0) -> list[tuple[SemanticId, float]]:
+                       index: CodeIndex | None = None) -> list[tuple[SemanticId, float]]:
     """``beam_search_decode_batch`` on a one-query batch, so its scores are
     bit-identical to B=1 exhaustive scoring (``encode``, ``decode_step``)."""
     return beam_search_decode_batch(model, [list(query_tokens)], beam_width, depth,
-                                    constrain=constrain, index=index,
-                                    temperature=temperature)[0]
+                                    constrain=constrain, index=index)[0]
 
 
 def beam_search_decode_batch(model: TransformerModel, token_rows: list[list[int]],
                              beam_width: int, depth: int, constrain: bool = False,
-                             index: CodeIndex | None = None, temperature: float = 1.0,
+                             index: CodeIndex | None = None,
                              chunk: int = 128) -> list[list[tuple[SemanticId, float]]]:
     """Beam over per-step log code probabilities, ``chunk`` queries per pass;
     score = summed log prob. With ``constrain`` set, only prefixes present
@@ -231,7 +229,7 @@ def beam_search_decode_batch(model: TransformerModel, token_rows: list[list[int]
             # one (1, D) x (D, K) product per row, as Codebook.logits computes
             # it at B=1: one (W, D) x (D, K) GEMM differs in the last bits
             logits = (d_t[:, None, :] @ model.codebooks[t - 1].embeddings.data.T)[:, 0, :]
-            log_p = ad.log_softmax(ad.Tensor(logits), temperature=temperature).data
+            log_p = ad.log_softmax(ad.Tensor(logits)).data
             row = 0
             for qi, beams in enumerate(per_query):
                 candidates: list[tuple[SemanticId, float]] = []
@@ -250,7 +248,6 @@ def beam_search_decode_batch(model: TransformerModel, token_rows: list[list[int]
 
 def generative_retrieve(model: TransformerModel, index: CodeIndex, query_tokens,
                         beam_width: int, cutoff: int, query_id: str = "q",
-                        temperature: float = 1.0,
                         beams: list[tuple[SemanticId, float]] | None = None) -> RankedList:
     """Expand the top beam IDs into their item buckets, best ID first.
 
@@ -258,8 +255,7 @@ def generative_retrieve(model: TransformerModel, index: CodeIndex, query_tokens,
     """
     if beams is None:
         beams = beam_search_decode(model, query_tokens, beam_width,
-                                   depth=index.num_steps, constrain=True,
-                                   index=index, temperature=temperature)
+                                   depth=index.num_steps, constrain=True, index=index)
     item_ids: list[str] = []
     scores: list[float] = []
     seen: set[str] = set()

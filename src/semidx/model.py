@@ -15,7 +15,7 @@ import json
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -46,7 +46,6 @@ class ModelConfig:
     max_text_len: int = 32
     num_steps: int = 4
     codebook_size: int = 16
-    dropout: float = 0.0
     seed: int = 0
 
     FULL_SCALE_NUM_STEPS = 4
@@ -59,8 +58,6 @@ class ModelConfig:
             raise ValueError("num_steps must be >= 1")
         if self.codebook_size < 2:
             raise ValueError("codebook_size must be >= 2")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ValueError("dropout must lie in [0, 1)")
 
 
 class Codebook:
@@ -201,7 +198,6 @@ class TransformerModel:
             Codebook(step=t, size=config.codebook_size, dim=config.hidden_size, rng=rng)
             for t in range(1, config.num_steps + 1)
         ]
-        self._rng = rng
 
     # ------------------------------------------------------------------
     # parameters
@@ -290,13 +286,7 @@ class TransformerModel:
         h = ad.gelu(ad.add(ad.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
         return ad.add(ad.matmul(h, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
 
-    def _maybe_dropout(self, x: Tensor, train: bool) -> Tensor:
-        if train and self.config.dropout > 0.0:
-            return ad.dropout(x, self.config.dropout, self._rng)
-        return x
-
-    def encode_batch(self, tokens: np.ndarray, mask: np.ndarray,
-                     train: bool = False) -> Tensor:
+    def encode_batch(self, tokens: np.ndarray, mask: np.ndarray) -> Tensor:
         """Encoder memory for a padded batch: (B, L) ids -> (B, L, D)."""
         tokens = np.asarray(tokens, dtype=np.int64)
         mask = np.asarray(mask, dtype=np.float64)
@@ -308,13 +298,12 @@ class TransformerModel:
                              f"{self.config.max_text_len}")
         p = self.params
         x = ad.add(ad.embedding(p["tok_emb"], tokens), p["pos_enc"][:L])
-        x = self._maybe_dropout(x, train)
         bias = _pad_bias(mask)
         for i in range(self.config.encoder_layers):
             h = ad.layer_norm(x, p[f"enc{i}.ln1.g"], p[f"enc{i}.ln1.b"])
-            x = ad.add(x, self._maybe_dropout(self._attention(f"enc{i}.attn", h, h, bias), train))
+            x = ad.add(x, self._attention(f"enc{i}.attn", h, h, bias))
             h = ad.layer_norm(x, p[f"enc{i}.ln2.g"], p[f"enc{i}.ln2.b"])
-            x = ad.add(x, self._maybe_dropout(self._ff(f"enc{i}.ff", h), train))
+            x = ad.add(x, self._ff(f"enc{i}.ff", h))
         return ad.layer_norm(x, p["enc_final.g"], p["enc_final.b"])
 
     def encode(self, tokens: Sequence[int]) -> Tensor:
@@ -323,21 +312,19 @@ class TransformerModel:
         return ad.reshape(memory, (memory.shape[1], self.config.hidden_size))
 
     def _decode_stack(self, x: Tensor, self_bias: np.ndarray, memory: Tensor,
-                      cross_bias: np.ndarray | None, train: bool) -> Tensor:
+                      cross_bias: np.ndarray | None) -> Tensor:
         p = self.params
         for i in range(self.config.decoder_layers):
             h = ad.layer_norm(x, p[f"dec{i}.ln1.g"], p[f"dec{i}.ln1.b"])
-            x = ad.add(x, self._maybe_dropout(
-                self._attention(f"dec{i}.self", h, h, self_bias), train))
+            x = ad.add(x, self._attention(f"dec{i}.self", h, h, self_bias))
             h = ad.layer_norm(x, p[f"dec{i}.ln2.g"], p[f"dec{i}.ln2.b"])
-            x = ad.add(x, self._maybe_dropout(
-                self._attention(f"dec{i}.cross", h, memory, cross_bias), train))
+            x = ad.add(x, self._attention(f"dec{i}.cross", h, memory, cross_bias))
             h = ad.layer_norm(x, p[f"dec{i}.ln3.g"], p[f"dec{i}.ln3.b"])
-            x = ad.add(x, self._maybe_dropout(self._ff(f"dec{i}.ff", h), train))
+            x = ad.add(x, self._ff(f"dec{i}.ff", h))
         return ad.layer_norm(x, p["dec_final.g"], p["dec_final.b"])
 
     def decode_code_states(self, memory: Tensor, enc_mask: np.ndarray,
-                           prefix: np.ndarray, train: bool = False) -> Tensor:
+                           prefix: np.ndarray) -> Tensor:
         """Decoder states d_1..d_{P+1} given a code prefix of length P.
 
         ``prefix`` is (B, P) integer codes; position p of the decoder input
@@ -356,9 +343,8 @@ class TransformerModel:
             parts.append(ad.reshape(rows, (B, 1, self.config.hidden_size)))
         x = parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
         x = ad.add(x, p["pos_dec"][: P + 1])
-        x = self._maybe_dropout(x, train)
         cross_bias = _pad_bias(np.asarray(enc_mask, dtype=np.float64))
-        return self._decode_stack(x, _causal_bias(P + 1), memory, cross_bias, train)
+        return self._decode_stack(x, _causal_bias(P + 1), memory, cross_bias)
 
     def decode_step(self, memory: Tensor, prefix: Sequence[int], t: int) -> Tensor:
         """B=1 reference d_t for oracles; ``prefix`` holds exactly t-1 codes."""
@@ -374,17 +360,15 @@ class TransformerModel:
         return ad.reshape(states[:, t - 1, :], (self.config.hidden_size,))
 
     def decode_text(self, memory: Tensor, enc_mask: np.ndarray,
-                    dec_tokens: np.ndarray, dec_mask: np.ndarray,
-                    train: bool = False) -> Tensor:
+                    dec_tokens: np.ndarray, dec_mask: np.ndarray) -> Tensor:
         """Teacher-forced decoder pass over token inputs: (B, Lt) -> (B, Lt, D)."""
         dec_tokens = np.asarray(dec_tokens, dtype=np.int64)
         B, Lt = dec_tokens.shape
         p = self.params
         x = ad.add(ad.embedding(p["tok_emb"], dec_tokens), p["pos_dec"][:Lt])
-        x = self._maybe_dropout(x, train)
         self_bias = _causal_bias(Lt) + _pad_bias(np.asarray(dec_mask, dtype=np.float64))
         cross_bias = _pad_bias(np.asarray(enc_mask, dtype=np.float64))
-        return self._decode_stack(x, self_bias, memory, cross_bias, train)
+        return self._decode_stack(x, self_bias, memory, cross_bias)
 
     def lm_log_probs(self, hidden: Tensor) -> Tensor:
         return ad.log_softmax(ad.matmul(hidden, self.params["lm_head"]), axis=-1)
@@ -431,7 +415,7 @@ class TransformerModel:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"SIDXCKPT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _HEADER_KEYS = ("arrays", "codebooks", "config", "extra", "format_version", "optimizer",
                 "trained_steps", "vocab_hash")
 
@@ -534,6 +518,9 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         raise corrupt(f"header lacks {', '.join(missing)}")
     if header["format_version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version {header['format_version']}")
+    config_keys = {f.name for f in fields(ModelConfig)}
+    if not isinstance(header["config"], dict) or set(header["config"]) != config_keys:
+        raise corrupt(f"header config does not hold exactly the keys {sorted(config_keys)}")
     payload = raw[16 + header_len:]
     total = 0
     for entry in header["arrays"]:

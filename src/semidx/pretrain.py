@@ -64,17 +64,11 @@ def sample_cloze_spans(length: int, rng: np.random.Generator) -> list[tuple[int,
     spans: list[tuple[int, int]] = []
     for _ in range(n_spans):
         span_len = int(rng.integers(1, 4))
-        placed = False
         for _ in range(20):
-            span_len_try = min(span_len, length)
-            start = int(rng.integers(length - span_len_try + 1))
-            overlap = any(start < s + l and s < start + span_len_try for s, l in spans)
-            if not overlap:
-                spans.append((start, span_len_try))
-                placed = True
+            start = int(rng.integers(length - span_len + 1))
+            if not any(start < s + l and s < start + span_len for s, l in spans):
+                spans.append((start, span_len))
                 break
-        if not placed:
-            continue
     if not spans:
         spans = [(int(rng.integers(length)), 1)]
     return sorted(spans)
@@ -165,7 +159,7 @@ def sample_examples(data: PretrainData, count: int, vocab: Vocab,
 
 
 def batch_loss(model: TransformerModel, batch: list[PretrainExample],
-               vocab: Vocab, train: bool = False):
+               vocab: Vocab):
     """Mean over examples of the summed teacher-forced NLL.
 
     Encoder inputs longer than the model budget (e.g. suffix-task inputs
@@ -176,8 +170,8 @@ def batch_loss(model: TransformerModel, batch: list[PretrainExample],
     targets, tgt_mask = pad_rows([ex.target_tokens[:limit] for ex in batch])
     dec_in = np.concatenate(
         [np.full((len(batch), 1), vocab.bos_id, dtype=np.int64), targets[:, :-1]], axis=1)
-    memory = model.encode_batch(enc, enc_mask, train=train)
-    hidden = model.decode_text(memory, enc_mask, dec_in, tgt_mask, train=train)
+    memory = model.encode_batch(enc, enc_mask)
+    hidden = model.decode_text(memory, enc_mask, dec_in, tgt_mask)
     log_probs = model.lm_log_probs(hidden)
     total = ad.nll_loss(log_probs, targets, mask=tgt_mask)
     return ad.mul(total, 1.0 / len(batch))
@@ -186,7 +180,7 @@ def batch_loss(model: TransformerModel, batch: list[PretrainExample],
 def pretrain_step(model: TransformerModel, optimizer, batch: list[PretrainExample],
                   vocab: Vocab) -> float | None:
     """One optimizer update; returns the batch loss, or None if skipped."""
-    loss = batch_loss(model, batch, vocab, train=True)
+    loss = batch_loss(model, batch, vocab)
     value = loss.item()
     if not np.isfinite(value):
         logger.warning("non-finite pre-training loss; step skipped")
@@ -201,7 +195,6 @@ def pretrain_step(model: TransformerModel, optimizer, batch: list[PretrainExampl
 class PretrainHistory:
     losses: list[float] = field(default_factory=list)
     task_counts: dict[str, int] = field(default_factory=lambda: {t: 0 for t in TASKS})
-    skipped_examples: dict[str, int] = field(default_factory=lambda: {t: 0 for t in TASKS})
 
 
 def run_pretraining(model: TransformerModel, optimizer, data: PretrainData,
@@ -213,9 +206,7 @@ def run_pretraining(model: TransformerModel, optimizer, data: PretrainData,
     history = PretrainHistory()
     for epoch in range(start_epoch, epochs):
         rng = np.random.default_rng([seed, 1000 + epoch])
-        examples, skipped = sample_examples(data, len(data.item_ids), vocab, rng)
-        for t, c in skipped.items():
-            history.skipped_examples[t] += c
+        examples, _ = sample_examples(data, len(data.item_ids), vocab, rng)
         for start in range(0, len(examples), batch_size):
             batch = examples[start:start + batch_size]
             for ex in batch:

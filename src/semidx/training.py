@@ -20,7 +20,7 @@ import logging
 import warnings
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -230,7 +230,7 @@ class BatchForward:
 
 
 def batch_forward(batch: TrainPairBatch, model: TransformerModel,
-                  data: AlignmentData, train: bool = False) -> BatchForward:
+                  data: AlignmentData) -> BatchForward:
     entries = batch.entries()
     T = batch.step
     uniq: dict[str, int] = {}
@@ -246,10 +246,10 @@ def batch_forward(batch: TrainPairBatch, model: TransformerModel,
     d_prefix = np.array([list(prefix_by_item[iid]) for iid in unique_ids],
                         dtype=np.int64).reshape(len(unique_ids), T - 1)
 
-    q_memory = model.encode_batch(q_tok, q_mask, train=train)
-    d_memory = model.encode_batch(d_tok, d_mask, train=train)
-    q_states = model.decode_code_states(q_memory, q_mask, q_prefix, train=train)
-    d_states = model.decode_code_states(d_memory, d_mask, d_prefix, train=train)
+    q_memory = model.encode_batch(q_tok, q_mask)
+    d_memory = model.encode_batch(d_tok, d_mask)
+    q_states = model.decode_code_states(q_memory, q_mask, q_prefix)
+    d_states = model.decode_code_states(d_memory, d_mask, d_prefix)
 
     D = model.config.hidden_size
     q_final = ad.reshape(q_states[:, T - 1, :], (len(entries), D))
@@ -373,7 +373,6 @@ class StepStats:
     step: int
     batches: int = 0
     warmup_batches: int = 0
-    losses: list[dict] = field(default_factory=list)
     code_usage_entropy: float = 0.0
     dead_codes_reinit: int = 0
 
@@ -411,7 +410,7 @@ def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
         for batch in batches:
             batch.check_prefix_property()
             warmup = batch_counter < cfg.warmup_batches
-            fwd = batch_forward(batch, model, data, train=True)
+            fwd = batch_forward(batch, model, data)
             con = contrastive_term(fwd, temperature=cfg.temperature,
                                    mask_same_item=cfg.mask_same_item)
             if warmup:
@@ -455,7 +454,6 @@ def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
                       "batch": batch_counter, "warmup": warmup, "loss": value,
                       "contrastive": con.item(), "kl": kl_value, "commitment": com_value,
                       "batch_size": batch.size}
-            stats.losses.append(record)
             if log_fn is not None:
                 log_fn(record)
 

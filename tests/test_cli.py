@@ -87,6 +87,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             from_dict({section: {key: value}})
 
+    def test_resolved_config_reloads_equal(self, tmp_path):
+        """The config a stage writes next to its outputs loads back unchanged."""
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path, mini_config(out))
+        assert main(["synth", "--config", str(cfg_path)]) == 0
+        assert load_config(out / "config.resolved.json") == load_config(cfg_path)
+
 
 class TestExitCodes:
     def test_missing_corpus_is_config_error(self, tmp_path):
@@ -148,6 +155,18 @@ class TestExitCodes:
         cfg["train"]["optimizer"] = "adma"
         cfg_path = write_config(tmp_path, cfg)
         assert main(["synth", "--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key, value", [("num_steps", 3), ("codebook_size", 32),
+                                            ("seed", 9), ("vocab_size", 50)])
+    def test_derived_model_key_is_config_error(self, tmp_path, capsys, key, value):
+        """Keys the pipeline overwrites cannot be set in the model section."""
+        cfg = mini_config(tmp_path / "run")
+        cfg["model"][key] = value
+        cfg_path = write_config(tmp_path, cfg)
+        capsys.readouterr()
+        assert main(["synth", "--config", str(cfg_path)]) == 2
+        assert f"model.{key} is set from" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_console_entry_point(self, tmp_path):
@@ -245,7 +264,7 @@ class TestPipelineArtifacts:
 
 @pytest.fixture(scope="class")
 def retrieved(tmp_path_factory):
-    """One mini run through retrieve, shared by the eval-contract tests."""
+    """One mini run through retrieve, shared by the tests of one class."""
     root = tmp_path_factory.mktemp("retrieved")
     cfg = mini_config(root / "run")
     cfg_path = write_config(root, cfg)
@@ -340,6 +359,22 @@ class TestEvalScoresRetrieveRuns:
             monkeypatch.setattr(cli.index_mod, name, recomputed)
         assert main(["eval", "--config", str(cfg_path)]) == 0
         assert (out / "metrics.json").read_bytes() == first
+
+
+class TestCorpusReads:
+    OUTPUTS = ("index.json", "runs_dense.json", "runs_generative.json", "metrics.json",
+               "index_manifest.json", "retrieve_manifest.json", "eval_manifest.json")
+
+    def test_later_stages_read_no_train_pairs(self, retrieved):
+        """index, retrieve and eval read only items.jsonl and the held-out pairs."""
+        out, _, cfg_path = retrieved
+        assert main(["eval", "--config", str(cfg_path)]) == 0
+        assert (out / "data" / "pairs_heldout.jsonl").exists()
+        before = hash_tree(out, self.OUTPUTS)
+        (out / "data" / "pairs.jsonl").write_text("not a pair\n" * 5)
+        for command in ("index", "retrieve", "eval"):
+            assert main([command, "--config", str(cfg_path)]) == 0, command
+        assert hash_tree(out, self.OUTPUTS) == before
 
 
 class TestOneItemCorpus:

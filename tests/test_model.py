@@ -29,6 +29,15 @@ def tiny_model():
     return model
 
 
+def rewrite_header(raw: bytes, edit) -> bytes:
+    """Checkpoint bytes ``raw`` with the JSON header passed through ``edit``."""
+    header_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + header_len])
+    edit(header)
+    data = json.dumps(header, sort_keys=True).encode("utf-8")
+    return raw[:8] + struct.pack("<Q", len(data)) + data + raw[16 + header_len:]
+
+
 def greedy(model, tokens, depth):
     """Greedy semantic ID and final-step state of one token row."""
     codes, finals = greedy_decode_rows(model, [tokens], depth)
@@ -346,19 +355,34 @@ class TestCheckpoint:
             load_checkpoint(path)
         save_checkpoint(path, tiny_model)
         raw = path.read_bytes()
-        header_len = int.from_bytes(raw[8:16], "little")
-        header = json.loads(raw[16:16 + header_len])
-        header["codebooks"] = header["codebooks"][:1]
-        short = json.dumps(header, sort_keys=True).encode("utf-8")
         damaged = {
             "a parameter missing from the manifest":
                 raw.replace(b'"param.tok_emb"', b'"param.tok_emX"'),
             "one codebook fewer than the model has":
-                raw[:8] + struct.pack("<Q", len(short)) + short + raw[16 + header_len:]}
+                rewrite_header(raw, lambda h: h.update(codebooks=h["codebooks"][:1])),
+            "unknown config key": rewrite_header(raw, lambda h: h["config"].update(foo=1)),
+            "missing config key":
+                rewrite_header(raw, lambda h: h["config"].pop("hidden_size")),
+            "config not an object": rewrite_header(raw, lambda h: h.update(config=[]))}
         for what, data in damaged.items():
             path.write_bytes(data)
             with pytest.raises(ValueError, match="truncated or corrupt checkpoint"):
                 load_checkpoint(path)
+
+    def test_older_format_rejected(self, tiny_model, tmp_path):
+        """A format-1 checkpoint (its config still carries ``dropout``) is refused
+        by version, before its config is read."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model)
+
+        def to_format_1(header):
+            assert header["format_version"] == 2 and "dropout" not in header["config"]
+            header["format_version"] = 1
+            header["config"]["dropout"] = 0.0
+
+        path.write_bytes(rewrite_header(path.read_bytes(), to_format_1))
+        with pytest.raises(ValueError, match="unsupported checkpoint format version 1"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("writer", ["checkpoint", "index", "assignments", "vocab",
                                         "config"])
