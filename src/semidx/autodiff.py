@@ -51,9 +51,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self, grad: Array | None = None) -> None:
         """Reverse-mode sweep from this node back to every reachable leaf."""
         if grad is None:

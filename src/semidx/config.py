@@ -110,11 +110,30 @@ _SECTIONS = {
 }
 
 
+# a test per declared field type, on exact types: bool subclasses int, so
+# isinstance would let true through as an int; a float key also takes an int
+_TYPE_CHECKS = {
+    "int": lambda v: type(v) is int,
+    "float": lambda v: type(v) in (int, float),
+    "bool": lambda v: type(v) is bool,
+    "str": lambda v: type(v) is str,
+    "list[int]": lambda v: type(v) is list and all(type(x) is int for x in v),
+}
+
+
+def _check_types(cls, payload: dict, prefix: str) -> None:
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key, value in payload.items():
+        if not _TYPE_CHECKS[types[key]](value):
+            raise ConfigError(f"{prefix}{key} must be {types[key]}, not {value!r}")
+
+
 def _build(cls, payload: dict, where: str):
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(payload) - names
     if unknown:
         raise ConfigError(f"unknown config key(s) in {where}: {sorted(unknown)}")
+    _check_types(cls, payload, f"{where}.")
     return cls(**payload)
 
 
@@ -145,12 +164,18 @@ def from_dict(payload: dict) -> RunConfig:
     unknown = set(payload) - top
     if unknown:
         raise ConfigError(f"unknown top-level config key(s): {sorted(unknown)}")
+    _check_types(RunConfig, payload, "")
     kwargs.update(payload)
     cfg = RunConfig(**kwargs)
     for (section, key), allowed in _CHOICES.items():
         value = getattr(getattr(cfg, section), key)
         if value not in allowed:
             raise ConfigError(f"{section}.{key} must be one of {list(allowed)}, not {value!r}")
+    # cmd_train sets these on each codebook after construction, past its checks
+    if not 0 < cfg.train.gamma <= 1:
+        raise ConfigError(f"train.gamma must lie in (0, 1], not {cfg.train.gamma!r}")
+    if not cfg.train.laplace_eps > 0:
+        raise ConfigError(f"train.laplace_eps must be positive, not {cfg.train.laplace_eps!r}")
     default = RunConfig().model
     for key, source in _DERIVED_MODEL_KEYS.items():
         if getattr(cfg.model, key) != getattr(default, key):

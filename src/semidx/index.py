@@ -1,9 +1,10 @@
 """Code index and retrieval.
 
-A trie over assigned code sequences maps every semantic ID to the items
-carrying it (IDs are cluster labels: collisions are expected). Queries are
-answered either generatively (beam search over per-step code distributions,
-optionally constrained to prefixes present in the trie, then expanding the
+Two prefix maps over assigned code sequences give, for every prefix of a
+semantic ID, the codes that extend it and the items under it (IDs are
+cluster labels: collisions are expected). Queries are answered either
+generatively (beam search over per-step code distributions, optionally
+constrained to prefixes present in the index, then expanding the
 top IDs to their item buckets) or densely (dot products of final decoder
 states). Both run batched; a single query is a one-row batch, and its beam
 scores are bit-identical to B=1 exhaustive scoring.
@@ -15,7 +16,6 @@ on top of plain embeddings for baseline comparisons.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,22 +29,21 @@ _INDEX_KEYS = ("version", "checkpoint_hash", "num_steps", "codebook_size", "item
                "assignments")
 
 
-@dataclass
-class _Node:
-    children: dict[int, "_Node"] = field(default_factory=dict)
-    items: list[tuple[int, str]] = field(default_factory=list)  # (insertion order, id)
-
-
 class CodeIndex:
-    """Trie over semantic IDs with an item-id reverse map."""
+    """Prefix maps over semantic IDs with an item-id reverse map.
+
+    ``_items`` maps every prefix of every inserted ID (the root ``()`` and
+    the full ID included) to its items in insertion order; ``_children``
+    maps a prefix to the codes that extend it.
+    """
 
     def __init__(self, num_steps: int, codebook_size: int, checkpoint_hash: str = ""):
         self.num_steps = int(num_steps)
         self.codebook_size = int(codebook_size)
         self.checkpoint_hash = checkpoint_hash
-        self.root = _Node()
         self.by_item: dict[str, SemanticId] = {}
-        self._counter = 0
+        self._items: dict[SemanticId, list[str]] = {(): []}
+        self._children: dict[SemanticId, set[int]] = {}
 
     def __len__(self) -> int:
         return len(self.by_item)
@@ -57,52 +56,25 @@ class CodeIndex:
             raise ValueError(f"code out of range in {sid}")
         if item_id in self.by_item:
             raise ValueError(f"item {item_id!r} already indexed")
-        node = self.root
-        for c in sid:
-            node = node.children.setdefault(c, _Node())
-        node.items.append((self._counter, item_id))
-        self._counter += 1
+        for t in range(len(sid) + 1):
+            self._items.setdefault(sid[:t], []).append(item_id)
+            if t < len(sid):
+                self._children.setdefault(sid[:t], set()).add(sid[t])
         self.by_item[item_id] = sid
 
-    def _find(self, prefix: SemanticId) -> _Node | None:
-        node = self.root
-        for c in prefix:
-            node = node.children.get(int(c))
-            if node is None:
-                return None
-        return node
-
     def children_of(self, prefix: SemanticId) -> list[int]:
-        node = self._find(prefix)
-        return sorted(node.children) if node is not None else []
+        return sorted(self._children.get(tuple(prefix), ()))
 
     def items_under(self, prefix: SemanticId) -> list[str]:
         """All items whose ID extends ``prefix``, in insertion order."""
-        node = self._find(prefix)
-        if node is None:
-            return []
-        collected: list[tuple[int, str]] = []
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            collected.extend(n.items)
-            stack.extend(n.children.values())
-        return [iid for _, iid in sorted(collected)]
+        return list(self._items.get(tuple(prefix), ()))
 
     def validate(self) -> None:
-        """Check the union/count invariants over the whole trie."""
-
-        def walk(node: _Node) -> int:
-            total = len(node.items)
-            for child in node.children.values():
-                total += walk(child)
-            return total
-
-        if walk(self.root) != len(self.by_item):
-            raise AssertionError("trie item count does not match the reverse map")
+        """Check that the root lists every item and each item sits under its ID."""
+        if len(self._items[()]) != len(self.by_item):
+            raise AssertionError("root item count does not match the reverse map")
         for item_id, sid in self.by_item.items():
-            node = self._find(sid)
-            if node is None or all(iid != item_id for _, iid in node.items):
+            if item_id not in self._items.get(sid, ()):
                 raise AssertionError(f"item {item_id!r} not found under its own ID")
 
     def save(self, path: str | Path) -> None:
@@ -258,12 +230,8 @@ def generative_retrieve(model: TransformerModel, index: CodeIndex, query_tokens,
                                    depth=index.num_steps, constrain=True, index=index)
     item_ids: list[str] = []
     scores: list[float] = []
-    seen: set[str] = set()
     for sid, score in beams:
         for iid in index.items_under(sid):
-            if iid in seen:
-                continue
-            seen.add(iid)
             item_ids.append(iid)
             scores.append(score)
             if len(item_ids) >= cutoff:

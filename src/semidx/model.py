@@ -521,6 +521,8 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
     config_keys = {f.name for f in fields(ModelConfig)}
     if not isinstance(header["config"], dict) or set(header["config"]) != config_keys:
         raise corrupt(f"header config does not hold exactly the keys {sorted(config_keys)}")
+    if not all(type(v) is int for v in header["config"].values()):
+        raise corrupt("header config holds a value that is not an integer")
     payload = raw[16 + header_len:]
     total = 0
     for entry in header["arrays"]:

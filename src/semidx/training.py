@@ -102,13 +102,6 @@ class FrozenAssignments:
         with atomic_writer(path) as fh:
             fh.write(json.dumps(payload, sort_keys=True).encode("utf-8"))
 
-    @classmethod
-    def load(cls, path: str | Path) -> "FrozenAssignments":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(step=payload["step"],
-                   ids={k: tuple(v) for k, v in payload["ids"].items()},
-                   checkpoint_hash=payload["checkpoint_hash"])
-
 
 @dataclass
 class AlignmentData:

@@ -169,6 +169,42 @@ class TestExitCodes:
         assert f"model.{key} is set from" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("model", "hidden_size", "16", "model.hidden_size must be int"),
+        ("train", "num_steps", "2", "train.num_steps must be int"),
+        ("train", "codebook_size", 4.0, "train.codebook_size must be int"),
+        ("train", "warmup_batches", True, "train.warmup_batches must be int"),
+        ("train", "lr", "1e-3", "train.lr must be float"),
+        ("train", "mask_same_item", 1, "train.mask_same_item must be bool"),
+        ("train", "optimizer", None, "train.optimizer must be str"),
+        ("eval", "recall_ks", [1, "10"], "eval.recall_ks must be list[int]"),
+        ("eval", "recall_ks", 10, "eval.recall_ks must be list[int]"),
+        ("train", "gamma", 1.5, "train.gamma must lie in (0, 1]"),
+        ("train", "gamma", 0, "train.gamma must lie in (0, 1]"),
+        ("train", "laplace_eps", 0, "train.laplace_eps must be positive"),
+        ("train", "laplace_eps", -1e-5, "train.laplace_eps must be positive"),
+        (None, "seed", "11", "seed must be int"),
+    ], ids=["int-as-str", "steps-as-str", "int-as-float", "int-as-bool", "float-as-str",
+            "bool-as-int", "str-as-null", "list-with-str", "list-as-int", "gamma-above-1",
+            "gamma-zero", "eps-zero", "eps-negative", "top-level-int-as-str"])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, section, key, value,
+                                       message):
+        """A value of the wrong type or out of range fails with exit 2 before
+        synth writes anything, naming the key."""
+        cfg = mini_config(tmp_path / "run")
+        (cfg[section] if section else cfg)[key] = value
+        cfg_path = write_config(tmp_path, cfg)
+        capsys.readouterr()
+        assert main(["synth", "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_int_for_float_key_loads(self, tmp_path):
+        cfg = mini_config(tmp_path / "run")
+        cfg["train"].update(gamma=1, lr=1)
+        cfg = load_config(write_config(tmp_path, cfg))
+        assert cfg.train.gamma == 1 and cfg.train.lr == 1
+
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run([sys.executable, "-m", "semidx.cli", "synth",
                                  "--out", str(tmp_path / "run")],

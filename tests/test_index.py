@@ -1,5 +1,5 @@
-"""Trie, beam decoding against exhaustive scoring, retrieval contracts, and
-the hierarchical k-means coder."""
+"""Prefix maps of the code index, beam decoding against exhaustive scoring,
+retrieval contracts, and the hierarchical k-means coder."""
 
 import itertools
 import json
@@ -41,6 +41,25 @@ class TestCodeIndex:
         assert sorted(idx.items_under(())) == sorted(idx.by_item)
         total = sum(len(idx.items_under((c,))) for c in idx.children_of(()))
         assert total == len(idx)
+
+    def test_prefix_lookups_match_scan(self):
+        """Both lookups agree with a scan of ``by_item`` for IDs of mixed
+        lengths, across subtrees, and for prefixes no ID carries."""
+        idx = CodeIndex(num_steps=3, codebook_size=3)
+        rng = np.random.default_rng(7)
+        for n in range(60):
+            idx.insert(f"i{n}", tuple(int(c) for c in rng.integers(0, 3, size=rng.integers(0, 4))))
+        idx.validate()
+        prefixes = {sid[:t] for sid in idx.by_item.values() for t in range(len(sid) + 1)}
+        absent = set(itertools.product(range(3), repeat=3)) - prefixes
+        assert absent
+        for prefix in prefixes | absent | {(0, 0, 0, 0)}:
+            under = [iid for iid, sid in idx.by_item.items() if sid[:len(prefix)] == prefix]
+            assert idx.items_under(prefix) == under
+            assert idx.items_under(list(prefix)) == under
+            assert idx.children_of(prefix) == sorted(
+                {sid[len(prefix)] for sid in idx.by_item.values()
+                 if len(sid) > len(prefix) and sid[:len(prefix)] == prefix})
 
     def test_duplicate_item_rejected(self):
         idx = CodeIndex(num_steps=1, codebook_size=2)

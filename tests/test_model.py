@@ -363,7 +363,11 @@ class TestCheckpoint:
             "unknown config key": rewrite_header(raw, lambda h: h["config"].update(foo=1)),
             "missing config key":
                 rewrite_header(raw, lambda h: h["config"].pop("hidden_size")),
-            "config not an object": rewrite_header(raw, lambda h: h.update(config=[]))}
+            "config not an object": rewrite_header(raw, lambda h: h.update(config=[])),
+            "config value a string":
+                rewrite_header(raw, lambda h: h["config"].update(hidden_size="16")),
+            "config value a float":
+                rewrite_header(raw, lambda h: h["config"].update(hidden_size=16.0))}
         for what, data in damaged.items():
             path.write_bytes(data)
             with pytest.raises(ValueError, match="truncated or corrupt checkpoint"):
