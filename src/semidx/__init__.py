@@ -7,5 +7,5 @@ or densely (final decoder states), and evaluate the result.
 
 __version__ = "0.1.0"
 
-from semidx.autodiff import Tensor, Optimizer, grad_check  # noqa: F401
+from semidx.autodiff import Tensor, Optimizer  # noqa: F401
 from semidx.model import ModelConfig, Codebook, TransformerModel  # noqa: F401

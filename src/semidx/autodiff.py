@@ -9,8 +9,7 @@ a meaningful oracle for every gradient this module produces.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -78,32 +77,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __pow__(self, p):
-        return pow_(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return take(self, idx)
@@ -186,32 +159,12 @@ def mul(a, b) -> Tensor:
     return _node(data, (a, b), backward)
 
 
-def pow_(t, p: float) -> Tensor:
-    t = as_tensor(t)
-    data = t.data ** p
-
-    def backward(g: Array) -> None:
-        _accumulate(t, g * p * t.data ** (p - 1))
-
-    return _node(data, (t,), backward)
-
-
 def log(t) -> Tensor:
     t = as_tensor(t)
     data = np.log(t.data)
 
     def backward(g: Array) -> None:
         _accumulate(t, g / t.data)
-
-    return _node(data, (t,), backward)
-
-
-def exp(t) -> Tensor:
-    t = as_tensor(t)
-    data = np.exp(t.data)
-
-    def backward(g: Array) -> None:
-        _accumulate(t, g * data)
 
     return _node(data, (t,), backward)
 
@@ -342,16 +295,6 @@ def sum_(t, axis=None, keepdims: bool = False) -> Tensor:
     return _node(data, (t,), backward)
 
 
-def mean(t, axis=None, keepdims: bool = False) -> Tensor:
-    t = as_tensor(t)
-    if axis is None:
-        count = t.data.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = int(np.prod([t.data.shape[a] for a in axes]))
-    return mul(sum_(t, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
 def take_along_last(t: Tensor, idx) -> Tensor:
     """Pick one entry per row along the last axis (e.g. target log-probs)."""
     t = as_tensor(t)
@@ -476,13 +419,9 @@ class Optimizer:
     advances on applied updates.
     """
 
-    def __init__(self, params: Mapping[str, Tensor] | Iterable[Tensor],
-                 lr: float = 1e-3, mode: str = "adam",
+    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-3, mode: str = "adam",
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if isinstance(params, Mapping):
-            self.params: dict[str, Tensor] = dict(params)
-        else:
-            self.params = {str(i): p for i, p in enumerate(params)}
+        self.params: dict[str, Tensor] = dict(params)
         if mode not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer mode {mode!r}")
         self.lr = float(lr)
@@ -556,93 +495,3 @@ class Optimizer:
                 if k in state["m"]:
                     self._m[k] = np.asarray(state["m"][k], dtype=np.float64)
                     self._v[k] = np.asarray(state["v"][k], dtype=np.float64)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-class GradCheckError(RuntimeError):
-    """The check could not run (e.g. the loss is not deterministic)."""
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    max_abs_error: float
-    coords_checked: int
-    per_param: dict[str, float]
-
-    def passed(self, tol: float) -> bool:
-        return self.max_rel_error < tol
-
-
-def grad_check(loss_fn: Callable[[], Tensor],
-               params: Mapping[str, Tensor] | Iterable[Tensor],
-               eps: float = 1e-5,
-               sample_per_param: int | None = None,
-               rng: np.random.Generator | None = None,
-               zero_floor: float = 1e-7) -> GradCheckReport:
-    """Compare reverse-mode gradients against central finite differences.
-
-    ``loss_fn`` is a zero-argument callable that rebuilds the forward graph
-    from the current parameter values and returns a scalar Tensor. With
-    ``sample_per_param`` set, only that many randomly chosen coordinates of
-    each parameter are probed (full elementwise check otherwise).
-
-    The relative error of a coordinate is |a − fd| / max(|a|, |fd|), taken
-    as 0 when both magnitudes fall below ``zero_floor``.
-    """
-    if not (1e-6 <= eps <= 1e-3):
-        raise ValueError("eps must lie in [1e-6, 1e-3]")
-    if isinstance(params, Mapping):
-        named = dict(params)
-    else:
-        named = {str(i): p for i, p in enumerate(params)}
-
-    v1 = float(loss_fn().data)
-    v2 = float(loss_fn().data)
-    if v1 != v2:
-        raise GradCheckError(
-            f"loss_fn is not deterministic under fixed parameters: {v1!r} != {v2!r}")
-
-    for p in named.values():
-        p.grad = None
-    loss = loss_fn()
-    loss.backward()
-    analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                for k, p in named.items()}
-
-    rng = rng if rng is not None else np.random.default_rng(0)
-    max_rel = 0.0
-    max_abs = 0.0
-    checked = 0
-    per_param: dict[str, float] = {}
-    for name, p in named.items():
-        flat = p.data.reshape(-1)
-        n = flat.size
-        if sample_per_param is None or n <= sample_per_param:
-            coords = range(n)
-        else:
-            coords = sorted(int(c) for c in rng.choice(n, size=sample_per_param, replace=False))
-        a_flat = analytic[name].reshape(-1)
-        worst = 0.0
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + eps
-            f_plus = float(loss_fn().data)
-            flat[c] = orig - eps
-            f_minus = float(loss_fn().data)
-            flat[c] = orig
-            fd = (f_plus - f_minus) / (2.0 * eps)
-            a = float(a_flat[c])
-            abs_err = abs(a - fd)
-            denom = max(abs(a), abs(fd))
-            rel = 0.0 if denom < zero_floor else abs_err / denom
-            worst = max(worst, rel)
-            max_abs = max(max_abs, abs_err)
-            checked += 1
-        per_param[name] = worst
-        max_rel = max(max_rel, worst)
-    return GradCheckReport(max_rel_error=max_rel, max_abs_error=max_abs,
-                           coords_checked=checked, per_param=per_param)

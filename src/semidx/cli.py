@@ -125,18 +125,15 @@ def cmd_pretrain(cfg: RunConfig, resume_from: str | None = None) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    start_epoch = 0
+    start_epoch, optimizer_state = 0, None
     if resume_from:
         bundle = load_checkpoint(_require(Path(resume_from), "checkpoint to resume from"))
         model = bundle.model
         vocab = _load_vocab(cfg)
         if vocab.content_hash() != model.vocab_hash:
             raise ConfigError("vocabulary hash does not match the resume checkpoint")
-        optimizer = Optimizer(model.parameters(), lr=cfg.pretrain.lr,
-                              mode=cfg.pretrain.optimizer)
-        if bundle.optimizer_state is not None:
-            optimizer.load_state_dict(bundle.optimizer_state)
         start_epoch = int(bundle.extra.get("epochs_completed", 0))
+        optimizer_state = bundle.optimizer_state
     else:
         texts = [it.text for it in corpus.items.values()] + [p.query for p in corpus.pairs]
         vocab = build_vocab(texts, min_freq=cfg.data.vocab_min_freq)
@@ -144,8 +141,9 @@ def cmd_pretrain(cfg: RunConfig, resume_from: str | None = None) -> int:
         model_cfg = cfg.resolved().model
         model_cfg.vocab_size = len(vocab)
         model = TransformerModel(model_cfg, vocab_hash=vocab.content_hash())
-        optimizer = Optimizer(model.parameters(), lr=cfg.pretrain.lr,
-                              mode=cfg.pretrain.optimizer)
+    optimizer = Optimizer(model.parameters(), lr=cfg.pretrain.lr, mode=cfg.pretrain.optimizer)
+    if optimizer_state is not None:
+        optimizer.load_state_dict(optimizer_state)
 
     data = PretrainData.from_corpus(corpus, vocab, model.config.max_text_len)
     log, fh = _jsonl_logger(out / "pretrain_log.jsonl")
@@ -158,7 +156,7 @@ def cmd_pretrain(cfg: RunConfig, resume_from: str | None = None) -> int:
     finally:
         fh.close()
     save_checkpoint(out / "pretrain.ckpt", model, optimizer,
-                    extra={"epochs_completed": cfg.pretrain.epochs})
+                    extra={"epochs_completed": max(start_epoch, cfg.pretrain.epochs)})
     items_path, pairs_path, _ = _corpus_paths(cfg)
     _write_manifest(cfg, "pretrain", {"items": items_path, "pairs": pairs_path})
     if history.losses:

@@ -176,6 +176,9 @@ def from_dict(payload: dict) -> RunConfig:
         raise ConfigError(f"train.gamma must lie in (0, 1], not {cfg.train.gamma!r}")
     if not cfg.train.laplace_eps > 0:
         raise ConfigError(f"train.laplace_eps must be positive, not {cfg.train.laplace_eps!r}")
+    for key in ("beam_width", "retrieve_cutoff"):
+        if getattr(cfg.eval, key) < 1:
+            raise ConfigError(f"eval.{key} must be >= 1, not {getattr(cfg.eval, key)!r}")
     default = RunConfig().model
     for key, source in _DERIVED_MODEL_KEYS.items():
         if getattr(cfg.model, key) != getattr(default, key):

@@ -56,14 +56,6 @@ class Vocab:
         return len(self.tokens)
 
     @property
-    def pad_id(self) -> int:
-        return self.index[PAD]
-
-    @property
-    def unk_id(self) -> int:
-        return self.index[UNK]
-
-    @property
     def bos_id(self) -> int:
         return self.index[BOS]
 
@@ -79,15 +71,6 @@ class Vocab:
         if max_len is not None:
             ids = ids[:max_len]
         return ids
-
-    def decode(self, ids) -> str:
-        out = []
-        for i in ids:
-            i = int(i)
-            if i < 0 or i >= len(self.tokens):
-                raise IndexError(f"token index {i} out of range for vocabulary of {len(self.tokens)}")
-            out.append(self.tokens[i])
-        return " ".join(out)
 
     def save(self, path: str | Path) -> None:
         payload = {"mode": "word", "tokens": self.tokens}

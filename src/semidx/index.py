@@ -138,11 +138,11 @@ def greedy_decode_rows(model: TransformerModel, token_rows: list[list[int]], dep
 
 
 def assign_all_ids(model: TransformerModel, items: dict[str, list[int]], depth: int,
-                   checkpoint_hash: str = "", chunk: int = 256) -> CodeIndex:
+                   checkpoint_hash: str = "") -> CodeIndex:
     """Greedy semantic IDs for a whole corpus (item id -> token ids)."""
     index = CodeIndex(num_steps=depth, codebook_size=model.config.codebook_size,
                       checkpoint_hash=checkpoint_hash)
-    codes, _ = greedy_decode_rows(model, list(items.values()), depth, chunk)
+    codes, _ = greedy_decode_rows(model, list(items.values()), depth)
     for iid, row in zip(items, codes):
         index.insert(iid, tuple(int(c) for c in row))
     index.validate()
@@ -164,9 +164,8 @@ def beam_search_decode(model: TransformerModel, query_tokens, beam_width: int,
 
 def beam_search_decode_batch(model: TransformerModel, token_rows: list[list[int]],
                              beam_width: int, depth: int, constrain: bool = False,
-                             index: CodeIndex | None = None,
-                             chunk: int = 128) -> list[list[tuple[SemanticId, float]]]:
-    """Beam over per-step log code probabilities, ``chunk`` queries per pass;
+                             index: CodeIndex | None = None) -> list[list[tuple[SemanticId, float]]]:
+    """Beam over per-step log code probabilities, 128 queries per pass;
     score = summed log prob. With ``constrain`` set, only prefixes present
     in ``index`` survive. Beams sort by descending score, ties by ID, so
     width K^T reproduces exhaustive sequence scoring: bit for bit for a
@@ -178,8 +177,8 @@ def beam_search_decode_batch(model: TransformerModel, token_rows: list[list[int]
         raise ValueError("constrained decoding needs an index")
     model._check_depth(depth)
     out: list[list[tuple[SemanticId, float]]] = []
-    for start in range(0, len(token_rows), chunk):
-        rows = token_rows[start:start + chunk]
+    for start in range(0, len(token_rows), 128):
+        rows = token_rows[start:start + 128]
         tok, mask = pad_rows(rows)
         memory = model.encode_batch(tok, mask).data
         per_query: list[list[tuple[SemanticId, float]]] = [[((), 0.0)] for _ in rows]
@@ -232,10 +231,10 @@ def generative_retrieve(model: TransformerModel, index: CodeIndex, query_tokens,
     scores: list[float] = []
     for sid, score in beams:
         for iid in index.items_under(sid):
-            item_ids.append(iid)
-            scores.append(score)
             if len(item_ids) >= cutoff:
                 return RankedList(query_id=query_id, item_ids=item_ids, scores=scores)
+            item_ids.append(iid)
+            scores.append(score)
     return RankedList(query_id=query_id, item_ids=item_ids, scores=scores)
 
 
@@ -257,9 +256,9 @@ def dense_rank(query_vec: np.ndarray, item_matrix: np.ndarray,
 
 
 def item_representation_matrix(model: TransformerModel, items: dict[str, list[int]],
-                               depth: int, chunk: int = 256) -> tuple[np.ndarray, list[str]]:
+                               depth: int) -> tuple[np.ndarray, list[str]]:
     """Final-step decoder states for every item, row-aligned with the ids."""
-    _, reps = greedy_decode_rows(model, list(items.values()), depth, chunk)
+    _, reps = greedy_decode_rows(model, list(items.values()), depth)
     return reps, list(items)
 
 

@@ -31,11 +31,7 @@ _NEG_BIAS = -1e9
 
 @dataclass
 class ModelConfig:
-    """Backbone and quantization hyperparameters.
-
-    Desk-scale defaults; the full-scale schedule used in production-sized
-    runs is 4 steps with 128-entry codebooks (see the class constants).
-    """
+    """Backbone and quantization hyperparameters (desk-scale defaults)."""
 
     vocab_size: int
     hidden_size: int = 64
@@ -47,9 +43,6 @@ class ModelConfig:
     num_steps: int = 4
     codebook_size: int = 16
     seed: int = 0
-
-    FULL_SCALE_NUM_STEPS = 4
-    FULL_SCALE_CODEBOOK_SIZE = 128
 
     def __post_init__(self):
         if self.hidden_size % self.attention_heads != 0:
@@ -146,10 +139,6 @@ class Codebook:
 
     def _refresh_rows(self) -> None:
         self.embeddings.data = self.ema_sums / (self.ema_counts[:, None] + self.laplace_eps)
-
-    def row_identity_error(self) -> float:
-        expected = self.ema_sums / (self.ema_counts[:, None] + self.laplace_eps)
-        return float(np.max(np.abs(self.embeddings.data - expected)))
 
     def usage_entropy(self) -> float:
         total = self.ema_counts.sum()

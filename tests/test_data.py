@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from semidx.data import (CorpusFormatError, RESERVED_TOKENS, Vocab, build_vocab,
-                         load_corpus, split_pairs, synth_corpus, tokenize,
-                         write_items, write_pairs)
+from semidx.data import (CorpusFormatError, PAD, RESERVED_TOKENS, UNK, Vocab,
+                         build_vocab, load_corpus, split_pairs, synth_corpus,
+                         tokenize, write_items, write_pairs)
 
 
 class TestVocab:
@@ -21,7 +21,7 @@ class TestVocab:
         vocab = build_vocab(["a b a"], min_freq=2)
         content = vocab.tokens[len(RESERVED_TOKENS):]
         assert content == ["a"]
-        assert vocab.encode("b") == [vocab.unk_id]
+        assert vocab.encode("b") == [vocab.index[UNK]]
 
     def test_hash_deterministic(self):
         v1 = build_vocab(["x y z", "x"])
@@ -33,26 +33,21 @@ class TestVocab:
     def test_reserved_prefix_fixed(self):
         vocab = build_vocab(["hello world"])
         assert vocab.tokens[: len(RESERVED_TOKENS)] == list(RESERVED_TOKENS)
-        assert vocab.pad_id == 0
+        assert vocab.tokens[0] == PAD
 
     def test_roundtrip_in_vocab(self):
         vocab = build_vocab(["red fox jumps"])
         text = "fox jumps red"
-        assert vocab.decode(vocab.encode(text)) == text
+        assert [vocab.tokens[i] for i in vocab.encode(text)] == text.split()
 
     def test_oov_maps_to_unk(self):
         vocab = build_vocab(["a b"])
-        assert vocab.encode("zzz") == [vocab.unk_id]
+        assert vocab.encode("zzz") == [vocab.index[UNK]]
 
     def test_truncation_preserves_prefix(self):
         vocab = build_vocab(["a b c d e"])
         full = vocab.encode("a b c d e")
         assert vocab.encode("a b c d e", max_len=3) == full[:3]
-
-    def test_decode_out_of_range(self):
-        vocab = build_vocab(["a"])
-        with pytest.raises(IndexError):
-            vocab.decode([len(vocab)])
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):

@@ -223,6 +223,9 @@ class TestGenerativeRetrieve:
         assert len(run.item_ids) <= 7
         assert len(set(run.item_ids)) == len(run.item_ids)
         assert all(a >= b for a, b in zip(run.scores, run.scores[1:]))
+        for cutoff in (0, -1):
+            assert generative_retrieve(tiny_model, idx, [3, 9], beam_width=9,
+                                       cutoff=cutoff).item_ids == []
 
     def test_bucket_order_is_insertion_order(self, tiny_model):
         items = {"a": [3, 4, 5], "b": [3, 4, 5]}  # identical: same bucket

@@ -18,6 +18,8 @@ from semidx.model import (Codebook, ModelConfig, TransformerModel,
                           save_checkpoint)
 from semidx.training import FrozenAssignments
 
+from oracles import row_identity_error
+
 
 @pytest.fixture
 def tiny_model():
@@ -48,10 +50,6 @@ class TestConfig:
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=10, hidden_size=10, attention_heads=3)
-
-    def test_full_scale_schedule_constants(self):
-        assert ModelConfig.FULL_SCALE_NUM_STEPS == 4
-        assert ModelConfig.FULL_SCALE_CODEBOOK_SIZE == 128
 
     def test_desk_defaults(self):
         cfg = ModelConfig(vocab_size=100)
@@ -235,12 +233,12 @@ class TestCodebookEma:
     def test_row_identity_after_updates(self):
         rng = np.random.default_rng(6)
         cb = Codebook(step=1, size=4, dim=3, rng=rng)
-        assert cb.row_identity_error() < 1e-12
+        assert row_identity_error(cb) < 1e-12
         for _ in range(20):
             vecs = rng.normal(size=(8, 3))
             codes = rng.integers(0, 4, size=8)
             cb.ema_update(vecs, codes)
-            assert cb.row_identity_error() < 1e-12
+            assert row_identity_error(cb) < 1e-12
 
     def test_gamma_one_is_identity(self):
         cb = Codebook(step=1, size=4, dim=3, decay=1.0, rng=np.random.default_rng(7))
@@ -283,7 +281,7 @@ class TestCodebookEma:
         n = cb.reinit_dead(threshold=1e-3, donors=donor, rng=np.random.default_rng(0))
         assert n == 1
         assert np.allclose(cb.embeddings.data[2], donor[0], atol=1e-12)
-        assert cb.row_identity_error() < 1e-12
+        assert row_identity_error(cb) < 1e-12
 
     def test_reinit_noop_cases(self):
         rng = np.random.default_rng(11)

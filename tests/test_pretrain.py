@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from semidx import autodiff as ad
-from semidx.autodiff import Optimizer, grad_check
+from semidx.autodiff import Optimizer
 from semidx.data import (MASK_SENTINELS, TASK_QUERY_GEN, TASK_SUFFIX,
                          build_vocab, Corpus, synth_corpus)
 from semidx.model import ModelConfig, TransformerModel
@@ -13,6 +13,8 @@ from semidx.pretrain import (PretrainData, batch_loss, build_item_cloze,
                              build_query_generation, build_suffix_completion,
                              pretrain_step, run_pretraining, sample_cloze_spans,
                              sample_examples)
+
+from oracles import grad_check
 
 
 @pytest.fixture(scope="module")

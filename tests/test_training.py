@@ -5,17 +5,19 @@ import numpy as np
 import pytest
 
 from semidx import autodiff as ad
-from semidx.autodiff import Optimizer, Tensor, grad_check
+from semidx.autodiff import Optimizer, Tensor
 from semidx.config import ProgressiveConfig
 from semidx.data import Corpus, build_vocab, synth_corpus
 from semidx.model import ModelConfig, TransformerModel
 from semidx.training import (AlignmentData, BatchForward, FrozenAssignments,
                              PairEntry, SampleGroup, TrainPairBatch,
-                             alignment_loss, batch_forward,
+                             batch_forward,
                              build_epoch_entries, build_prefix_batches,
                              commitment_loss, contrastive_term, kl_term,
                              multi_query_sample, progressive_train,
                              train_code_step)
+
+from oracles import grad_check, row_identity_error
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +180,7 @@ class TestAlignmentLoss:
         data = AlignmentData.from_corpus(corpus, vocab, 16)
         batch = make_batch(data, data.item_ids[:4], step=1)
         fwd = batch_forward(batch, model, data)
-        got = alignment_loss(batch, model, data, fwd=fwd).item()
+        got = ad.add(contrastive_term(fwd), kl_term(fwd, model)).item()
 
         q = fwd.q_final.data
         d = fwd.d_final_entries.data
@@ -213,7 +215,8 @@ class TestAlignmentLoss:
         batch = make_batch(data, data.item_ids[:3], step=1)
 
         def loss_fn():
-            return alignment_loss(batch, model, data)
+            fwd = batch_forward(batch, model, data)
+            return ad.add(contrastive_term(fwd), kl_term(fwd, model))
 
         report = grad_check(loss_fn, model.parameters(), eps=1e-5,
                             sample_per_param=3, rng=np.random.default_rng(0))
@@ -223,8 +226,9 @@ class TestAlignmentLoss:
         model = make_model(vocab)
         data = AlignmentData.from_corpus(corpus, vocab, 16)
         batch = make_batch(data, data.item_ids[:3], step=1)
-        loss = ad.add(alignment_loss(batch, model, data),
-                      commitment_loss(batch, model, data))
+        fwd = batch_forward(batch, model, data)
+        loss = ad.add(ad.add(contrastive_term(fwd), kl_term(fwd, model)),
+                      commitment_loss(fwd, model))
         loss.backward()
         for cb in model.codebooks:
             assert cb.embeddings.grad is None
@@ -239,7 +243,7 @@ class TestCommitmentLoss:
         data = AlignmentData.from_corpus(corpus, vocab, 16)
         prefixes = {iid: (0,) for iid in data.item_ids[:3]}
         batch = make_batch(data, data.item_ids[:3], step=2, prefixes=prefixes)
-        got = commitment_loss(batch, model, data).item()
+        got = commitment_loss(batch_forward(batch, model, data), model).item()
         assert np.isclose(got, 2 * np.log(model.config.codebook_size), atol=1e-9)
 
     def test_one_hot_distributions_vanish(self, corpus, vocab):
@@ -268,7 +272,7 @@ class TestCommitmentLoss:
                            q_final=fwd.q_final,
                            d_final_unique=Tensor(d2),
                            d_final_entries=fwd.d_final_entries)
-        got = commitment_loss(batch, model, data, fwd=fwd).item()
+        got = commitment_loss(fwd, model).item()
         assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_direct_summation_oracle(self, corpus, vocab):
@@ -279,7 +283,7 @@ class TestCommitmentLoss:
                     for n, iid in enumerate(ids)}
         batch = make_batch(data, ids, step=2, prefixes=prefixes)
         fwd = batch_forward(batch, model, data)
-        got = commitment_loss(batch, model, data, fwd=fwd).item()
+        got = commitment_loss(fwd, model).item()
 
         E1 = model.codebooks[0].embeddings.data
         E2 = model.codebooks[1].embeddings.data
@@ -302,7 +306,7 @@ class TestCommitmentLoss:
         batch = make_batch(data, data.item_ids[:3], step=2, prefixes=prefixes)
 
         def loss_fn():
-            return commitment_loss(batch, model, data)
+            return commitment_loss(batch_forward(batch, model, data), model)
 
         report = grad_check(loss_fn, model.parameters(), eps=1e-5,
                             sample_per_param=3, rng=np.random.default_rng(1))
@@ -345,7 +349,7 @@ class TestTrainCodeStep:
         before = model.codebooks[0].ema_counts.copy()
         train_code_step(model, optimizer, data, None, 1, cfg, np.random.default_rng(1))
         assert not np.allclose(model.codebooks[0].ema_counts, before)
-        assert model.codebooks[0].row_identity_error() < 1e-9
+        assert row_identity_error(model.codebooks[0]) < 1e-9
 
     def test_warmup_batches_skip_ema(self, corpus, vocab):
         model = make_model(vocab)
