@@ -313,39 +313,33 @@ def take_along_last(t: Tensor, idx) -> Tensor:
 # softmax family and losses
 # ---------------------------------------------------------------------------
 
-def softmax(t, axis: int = -1, temperature: float = 1.0) -> Tensor:
-    """Numerically stable softmax (max subtraction) with a temperature."""
+def softmax(t, axis: int = -1) -> Tensor:
+    """Numerically stable softmax (max subtraction)."""
     t = as_tensor(t)
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
     if not np.isfinite(t.data).all():
         raise FloatingPointError("softmax input must be finite")
-    z = t.data / temperature
-    z = z - z.max(axis=axis, keepdims=True)
+    z = t.data - t.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g: Array) -> None:
         dot = (g * y).sum(axis=axis, keepdims=True)
-        _accumulate(t, (g - dot) * y / temperature)
+        _accumulate(t, (g - dot) * y)
 
     return _node(y, (t,), backward)
 
 
-def log_softmax(t, axis: int = -1, temperature: float = 1.0) -> Tensor:
+def log_softmax(t, axis: int = -1) -> Tensor:
     t = as_tensor(t)
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
     if not np.isfinite(t.data).all():
         raise FloatingPointError("log_softmax input must be finite")
-    z = t.data / temperature
-    z = z - z.max(axis=axis, keepdims=True)
+    z = t.data - t.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
     out = z - lse
     y = np.exp(out)
 
     def backward(g: Array) -> None:
-        _accumulate(t, (g - y * g.sum(axis=axis, keepdims=True)) / temperature)
+        _accumulate(t, g - y * g.sum(axis=axis, keepdims=True))
 
     return _node(out, (t,), backward)
 
@@ -412,31 +406,25 @@ def kl_divergence(p, q, floor: float = 1e-9) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class Optimizer:
-    """Adaptive-moment updates with bias correction (default) or plain SGD.
+    """Adaptive-moment (Adam) updates with bias correction.
 
     Non-finite gradients cause the whole update to be skipped, with a
     counter recording how often that happened; the step counter only
-    advances on applied updates.
+    advances on applied updates. A loaded state restores the counters and
+    moments only; the learning rate and betas stay the constructor's.
     """
 
-    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-3, mode: str = "adam",
+    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params: dict[str, Tensor] = dict(params)
-        if mode not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer mode {mode!r}")
         self.lr = float(lr)
-        self.mode = mode
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step_count = 0
         self.skipped_updates = 0
-        if mode == "adam":
-            self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-            self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        else:
-            self._m = {}
-            self._v = {}
+        self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -452,10 +440,6 @@ class Optimizer:
                 warnings.warn("non-finite gradient encountered; optimizer update skipped")
                 return False
         self.step_count += 1
-        if self.mode == "sgd":
-            for k, p in self.params.items():
-                p.data = p.data - self.lr * grads[k]
-            return True
         t = self.step_count
         c1 = 1.0 - self.beta1 ** t
         c2 = 1.0 - self.beta2 ** t
@@ -470,11 +454,6 @@ class Optimizer:
 
     def state_dict(self) -> dict:
         return {
-            "mode": self.mode,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
             "step_count": self.step_count,
             "skipped_updates": self.skipped_updates,
             "m": {k: v.copy() for k, v in self._m.items()},
@@ -482,16 +461,8 @@ class Optimizer:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        if state["mode"] != self.mode:
-            raise ValueError("optimizer mode mismatch")
-        self.lr = state["lr"]
-        self.beta1 = state["beta1"]
-        self.beta2 = state["beta2"]
-        self.eps = state["eps"]
         self.step_count = int(state["step_count"])
         self.skipped_updates = int(state["skipped_updates"])
-        if self.mode == "adam":
-            for k in self.params:
-                if k in state["m"]:
-                    self._m[k] = np.asarray(state["m"][k], dtype=np.float64)
-                    self._v[k] = np.asarray(state["v"][k], dtype=np.float64)
+        for k in self.params:
+            self._m[k] = np.asarray(state["m"][k], dtype=np.float64)
+            self._v[k] = np.asarray(state["v"][k], dtype=np.float64)

@@ -141,7 +141,7 @@ def cmd_pretrain(cfg: RunConfig, resume_from: str | None = None) -> int:
         model_cfg = cfg.resolved().model
         model_cfg.vocab_size = len(vocab)
         model = TransformerModel(model_cfg, vocab_hash=vocab.content_hash())
-    optimizer = Optimizer(model.parameters(), lr=cfg.pretrain.lr, mode=cfg.pretrain.optimizer)
+    optimizer = Optimizer(model.parameters(), lr=cfg.pretrain.lr)
     if optimizer_state is not None:
         optimizer.load_state_dict(optimizer_state)
 
@@ -181,16 +181,15 @@ def cmd_train(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
                           f"was built with {model.config.num_steps}")
     for cb in model.codebooks:
         cb.decay = tcfg.gamma
-        cb.laplace_eps = tcfg.laplace_eps
 
     data = AlignmentData.from_corpus(corpus, vocab, model.config.max_text_len)
-    optimizer = Optimizer(model.parameters(), lr=tcfg.lr, mode=tcfg.optimizer)
+    optimizer = Optimizer(model.parameters(), lr=tcfg.lr)
     log, fh = _jsonl_logger(out / "train_log.jsonl")
     try:
         for frozen, stats in progressive_train(model, optimizer, data, tcfg, cfg.seed,
                                                log_fn=log):
             step_ckpt = out / f"model_step{frozen.step}.ckpt"
-            save_checkpoint(step_ckpt, model, optimizer)
+            save_checkpoint(step_ckpt, model)
             frozen.checkpoint_hash = checkpoint_hash(step_ckpt)
             frozen.save(out / f"assignments_step{frozen.step}.json")
             log({"phase": "step_summary", "step": frozen.step,
@@ -200,7 +199,7 @@ def cmd_train(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
                  "batches": stats.batches})
     finally:
         fh.close()
-    save_checkpoint(out / "model.ckpt", model, optimizer)
+    save_checkpoint(out / "model.ckpt", model)
     items_path, pairs_path, _ = _corpus_paths(cfg)
     _write_manifest(cfg, "train", {"items": items_path, "pairs": pairs_path,
                                    "pretrain_checkpoint": ckpt_path})

@@ -1,8 +1,7 @@
 """Run configuration: one JSON document drives every pipeline command.
 
-Unknown keys and unknown values of the string-valued choices are rejected
-so typos fail loudly; every command writes the fully resolved config next
-to its outputs.
+Unknown keys and values of the wrong type are rejected so typos fail
+loudly; every command writes the fully resolved config next to its outputs.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ class PretrainConfig:
     epochs: int = 30
     batch_size: int = 16
     lr: float = 2e-3
-    optimizer: str = "adam"
 
 
 @dataclass
@@ -53,21 +51,14 @@ class ProgressiveConfig:
     num_steps: int = 4
     codebook_size: int = 16
     gamma: float = 0.99              # EMA decay for codebook statistics
-    laplace_eps: float = 1e-5
     warmup_batches: int = 50         # contrastive-only batches at each step
     group_size: int = 8
     batch_size: int = 64
     queries_per_item: int = 2        # positives sampled per item per epoch
     epochs_per_step: int = 1
     lr: float = 1e-3
-    optimizer: str = "adam"
-    temperature: float = 1.0
-    alignment_weight: float = 1.0
-    commitment_weight: float = 1.0
-    mask_same_item: bool = True
     dead_code_threshold: float = 0.5
     reinit_interval_batches: int = 10  # 0: only at epoch boundaries
-    reinit_pool_size: int = 512
 
 
 @dataclass
@@ -137,12 +128,6 @@ def _build(cls, payload: dict, where: str):
     return cls(**payload)
 
 
-# the allowed values of each string-valued choice, checked when a config loads
-_CHOICES = {
-    ("pretrain", "optimizer"): ("adam", "sgd"),
-    ("train", "optimizer"): ("adam", "sgd"),
-}
-
 # model keys the pipeline sets itself, each from the source named here; a
 # config may carry them only at their defaults, as config.resolved.json does
 _DERIVED_MODEL_KEYS = {"num_steps": "train.num_steps", "codebook_size": "train.codebook_size",
@@ -167,15 +152,9 @@ def from_dict(payload: dict) -> RunConfig:
     _check_types(RunConfig, payload, "")
     kwargs.update(payload)
     cfg = RunConfig(**kwargs)
-    for (section, key), allowed in _CHOICES.items():
-        value = getattr(getattr(cfg, section), key)
-        if value not in allowed:
-            raise ConfigError(f"{section}.{key} must be one of {list(allowed)}, not {value!r}")
-    # cmd_train sets these on each codebook after construction, past its checks
+    # cmd_train sets this on each codebook after construction, past its check
     if not 0 < cfg.train.gamma <= 1:
         raise ConfigError(f"train.gamma must lie in (0, 1], not {cfg.train.gamma!r}")
-    if not cfg.train.laplace_eps > 0:
-        raise ConfigError(f"train.laplace_eps must be positive, not {cfg.train.laplace_eps!r}")
     for key in ("beam_width", "retrieve_cutoff"):
         if getattr(cfg.eval, key) < 1:
             raise ConfigError(f"eval.{key} must be >= 1, not {getattr(cfg.eval, key)!r}")

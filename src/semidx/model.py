@@ -101,8 +101,8 @@ class Codebook:
         out = ad.matmul(d, Tensor(self.embeddings.data.T))
         return ad.reshape(out, (-1,)) if single else out
 
-    def distribution(self, d: Tensor, temperature: float = 1.0) -> Tensor:
-        return ad.softmax(self.logits(d), axis=-1, temperature=temperature)
+    def distribution(self, d: Tensor) -> Tensor:
+        return ad.softmax(self.logits(d), axis=-1)
 
     def assign(self, d_values: np.ndarray):
         """Argmax code per row; ties break toward the lowest index."""
@@ -404,7 +404,7 @@ class TransformerModel:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"SIDXCKPT"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _HEADER_KEYS = ("arrays", "codebooks", "config", "extra", "format_version", "optimizer",
                 "trained_steps", "vocab_hash")
 
@@ -450,8 +450,7 @@ def save_checkpoint(path: str | Path, model: TransformerModel,
     opt_meta = None
     if optimizer is not None:
         state = optimizer.state_dict()
-        opt_meta = {k: state[k] for k in
-                    ("mode", "lr", "beta1", "beta2", "eps", "step_count", "skipped_updates")}
+        opt_meta = {k: state[k] for k in ("step_count", "skipped_updates")}
         for name in sorted(state["m"]):
             arrays.append((f"opt.m.{name}", state["m"][name]))
             arrays.append((f"opt.v.{name}", state["v"][name]))
@@ -550,13 +549,12 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
     opt_state = None
     if header["optimizer"] is not None:
         opt_state = dict(header["optimizer"])
-        opt_state["m"] = {}
-        opt_state["v"] = {}
-        for name in by_name:
-            if name.startswith("opt.m."):
-                opt_state["m"][name[len("opt.m."):]] = read_array(name)
-            elif name.startswith("opt.v."):
-                opt_state["v"][name[len("opt.v."):]] = read_array(name)
+        for key in ("m", "v"):
+            tag = f"opt.{key}."
+            names = {name[len(tag):] for name in by_name if name.startswith(tag)}
+            if names != set(model.params):
+                raise corrupt(f"{tag}* arrays do not match the model's parameters")
+            opt_state[key] = {name: read_array(tag + name) for name in model.params}
     return CheckpointBundle(model=model, optimizer_state=opt_state, extra=header["extra"])
 
 

@@ -33,6 +33,8 @@ from semidx.model import SemanticId, TransformerModel, atomic_writer, pad_rows
 
 logger = logging.getLogger(__name__)
 
+DONOR_POOL_SIZE = 512  # recent item states that dead codes are reset to
+
 
 class TrainingDiverged(RuntimeError):
     pass
@@ -255,28 +257,24 @@ def batch_forward(batch: TrainPairBatch, model: TransformerModel,
                         d_final_entries=d_final_entries)
 
 
-def contrastive_term(fwd: BatchForward, temperature: float = 1.0,
-                     mask_same_item: bool = True) -> Tensor:
+def contrastive_term(fwd: BatchForward) -> Tensor:
     """In-batch softmax over query-item dot products, averaged over pairs.
 
-    With masking on, entries sharing the anchor's item id are removed from
-    the denominator (the positive itself always stays).
+    Entries sharing the anchor's item id are removed from the denominator
+    (the positive itself always stays).
     """
     B = fwd.q_final.shape[0]
     if B == 1:
         warnings.warn("contrastive term over a single pair is identically 0")
-    scores = ad.mul(ad.matmul(fwd.q_final, ad.transpose(fwd.d_final_entries, (1, 0))),
-                    1.0 / temperature)
-    bias = np.zeros((B, B))
-    if mask_same_item:
-        same = fwd.entry_item_idx[:, None] == fwd.entry_item_idx[None, :]
-        bias[same & ~np.eye(B, dtype=bool)] = -1e9
+    scores = ad.matmul(fwd.q_final, ad.transpose(fwd.d_final_entries, (1, 0)))
+    same = fwd.entry_item_idx[:, None] == fwd.entry_item_idx[None, :]
+    bias = np.where(same & ~np.eye(B, dtype=bool), -1e9, 0.0)
     log_probs = ad.log_softmax(ad.add(scores, bias), axis=-1)
     diag = ad.sum_(ad.mul(log_probs, np.eye(B)), axis=-1)
     return ad.mul(ad.sum_(diag), -1.0 / B)
 
 
-def kl_term(fwd: BatchForward, model: TransformerModel, temperature: float = 1.0) -> Tensor:
+def kl_term(fwd: BatchForward, model: TransformerModel) -> Tensor:
     """Sum over steps t=1..T of KL(query code dist || item code dist);
     gradients reach both sides."""
     B = fwd.q_final.shape[0]
@@ -287,8 +285,8 @@ def kl_term(fwd: BatchForward, model: TransformerModel, temperature: float = 1.0
         cb = model.codebooks[t - 1]
         q_t = ad.reshape(fwd.q_states[:, t - 1, :], (B, D))
         d_t = ad.reshape(fwd.d_states[:, t - 1, :], (U, D))
-        p_q = cb.distribution(q_t, temperature=temperature)
-        p_d_unique = cb.distribution(d_t, temperature=temperature)
+        p_q = cb.distribution(q_t)
+        p_d_unique = cb.distribution(d_t)
         p_d = ad.embedding(p_d_unique, fwd.entry_item_idx)
         kl = ad.kl_divergence(p_q, p_d)
         total = kl if total is None else ad.add(total, kl)
@@ -302,8 +300,7 @@ def commitment_targets(fwd: BatchForward, model: TransformerModel) -> np.ndarray
     return np.concatenate([fwd.unique_prefix, np.asarray(online)[:, None]], axis=1)
 
 
-def commitment_loss(fwd: BatchForward, model: TransformerModel,
-                    temperature: float = 1.0) -> Tensor:
+def commitment_loss(fwd: BatchForward, model: TransformerModel) -> Tensor:
     """Mean over unique items of the summed per-step code NLL.
 
     Gradients reach the encoder/decoder only; codebooks are constants in
@@ -316,7 +313,7 @@ def commitment_loss(fwd: BatchForward, model: TransformerModel,
     for t in range(1, fwd.step + 1):
         cb = model.codebooks[t - 1]
         d_t = ad.reshape(fwd.d_states[:, t - 1, :], (U, D))
-        log_q = ad.log_softmax(cb.logits(d_t), axis=-1, temperature=temperature)
+        log_q = ad.log_softmax(cb.logits(d_t), axis=-1)
         picked = ad.take_along_last(log_q, targets[:, t - 1])
         total = picked if total is None else ad.add(total, picked)
     return ad.mul(ad.sum_(total), -1.0 / U)
@@ -378,7 +375,7 @@ def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
 
     snapshot = take_snapshot()
     stats = StepStats(step=step)
-    donors: deque[np.ndarray] = deque(maxlen=cfg.reinit_pool_size)
+    donors: deque[np.ndarray] = deque(maxlen=DONOR_POOL_SIZE)
     batch_counter = 0
 
     for epoch in range(cfg.epochs_per_step):
@@ -389,17 +386,14 @@ def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
             batch.check_prefix_property()
             warmup = batch_counter < cfg.warmup_batches
             fwd = batch_forward(batch, model, data)
-            con = contrastive_term(fwd, temperature=cfg.temperature,
-                                   mask_same_item=cfg.mask_same_item)
+            con = contrastive_term(fwd)
             if warmup:
-                loss = ad.mul(con, cfg.alignment_weight)
+                loss = con
                 kl_value = com_value = 0.0
             else:
-                kl = kl_term(fwd, model, temperature=cfg.temperature)
-                com = commitment_loss(fwd, model, temperature=cfg.temperature)
-                align = ad.add(con, kl)
-                loss = ad.add(ad.mul(align, cfg.alignment_weight),
-                              ad.mul(com, cfg.commitment_weight))
+                kl = kl_term(fwd, model)
+                com = commitment_loss(fwd, model)
+                loss = ad.add(ad.add(con, kl), com)
                 kl_value, com_value = kl.item(), com.item()
             value = loss.item()
             if not np.isfinite(value):

@@ -81,11 +81,22 @@ class TestConfig:
         ("data", "tokenizer_mode", "word"), ("data", "vocab_max_size", None),
         ("pretrain", "examples_per_epoch", None), ("pretrain", "cloze_target", "full"),
         ("train", "kl_gradient", "both"), ("train", "symmetric_contrastive", False),
-        ("train", "pair_weighting", "uniform")])
-    def test_deleted_key_rejected(self, section, key, value):
-        """Each deleted key, even at its old default, is an unknown key."""
+        ("train", "pair_weighting", "uniform"), ("pretrain", "optimizer", "adam"),
+        ("train", "optimizer", "adam"), ("train", "temperature", 1.0),
+        ("train", "alignment_weight", 1.0), ("train", "commitment_weight", 1.0),
+        ("train", "mask_same_item", True), ("train", "reinit_pool_size", 512),
+        ("train", "laplace_eps", 1e-5)])
+    def test_deleted_key_rejected(self, tmp_path, capsys, section, key, value):
+        """Each deleted key, even at its old default, is an unknown key: synth
+        exits 2 naming it and writes nothing."""
         with pytest.raises(ConfigError, match=key):
             from_dict({section: {key: value}})
+        cfg = mini_config(tmp_path / "run")
+        cfg[section][key] = value
+        capsys.readouterr()
+        assert main(["synth", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_resolved_config_reloads_equal(self, tmp_path):
         """The config a stage writes next to its outputs loads back unchanged."""
@@ -150,13 +161,6 @@ class TestExitCodes:
         assert "softmax input must be finite" in capsys.readouterr().err
         assert not (out / "index.json").exists()
 
-    def test_misspelt_choice_is_config_error(self, tmp_path):
-        cfg = mini_config(tmp_path / "run")
-        cfg["train"]["optimizer"] = "adma"
-        cfg_path = write_config(tmp_path, cfg)
-        assert main(["synth", "--config", str(cfg_path)]) == 2
-        assert not (tmp_path / "run").exists()
-
     @pytest.mark.parametrize("key, value", [("num_steps", 3), ("codebook_size", 32),
                                             ("seed", 9), ("vocab_size", 50)])
     def test_derived_model_key_is_config_error(self, tmp_path, capsys, key, value):
@@ -175,14 +179,14 @@ class TestExitCodes:
         ("train", "codebook_size", 4.0, "train.codebook_size must be int"),
         ("train", "warmup_batches", True, "train.warmup_batches must be int"),
         ("train", "lr", "1e-3", "train.lr must be float"),
-        ("train", "mask_same_item", 1, "train.mask_same_item must be bool"),
-        ("train", "optimizer", None, "train.optimizer must be str"),
+        ("eval", "kmeans_baseline", 1, "eval.kmeans_baseline must be bool"),
+        (None, "out_dir", None, "out_dir must be str"),
         ("eval", "recall_ks", [1, "10"], "eval.recall_ks must be list[int]"),
         ("eval", "recall_ks", 10, "eval.recall_ks must be list[int]"),
         ("train", "gamma", 1.5, "train.gamma must lie in (0, 1]"),
         ("train", "gamma", 0, "train.gamma must lie in (0, 1]"),
-        ("train", "laplace_eps", 0, "train.laplace_eps must be positive"),
-        ("train", "laplace_eps", -1e-5, "train.laplace_eps must be positive"),
+        ("train", "laplace_eps", 0, "unknown config key(s) in train: ['laplace_eps']"),
+        ("train", "laplace_eps", -1e-5, "unknown config key(s) in train: ['laplace_eps']"),
         ("eval", "retrieve_cutoff", 0, "eval.retrieve_cutoff must be >= 1"),
         ("eval", "retrieve_cutoff", -1, "eval.retrieve_cutoff must be >= 1"),
         ("eval", "beam_width", 0, "eval.beam_width must be >= 1"),
@@ -258,18 +262,33 @@ class TestPipelineArtifacts:
             assert sid[:1] == a1[iid]
 
     def test_pretrain_resume_continues_steps(self, tmp_path):
+        """A resume continues the step count and takes the learning rate from
+        its config, not from the checkpoint: at lr 0 it moves no parameter."""
         out = tmp_path / "run"
         cfg = mini_config(out)
         cfg_path = write_config(tmp_path, cfg)
         assert main(["synth", "--config", str(cfg_path)]) == 0
         assert main(["pretrain", "--config", str(cfg_path)]) == 0
-        steps_before = load_checkpoint(out / "pretrain.ckpt").optimizer_state["step_count"]
-        cfg["pretrain"]["epochs"] = 4
+        before = load_checkpoint(out / "pretrain.ckpt")
+        cfg["pretrain"].update(epochs=4, lr=0)
         cfg_path = write_config(tmp_path, cfg, name="config4.json")
         assert main(["pretrain", "--config", str(cfg_path),
                      "--from", str(out / "pretrain.ckpt")]) == 0
-        steps_after = load_checkpoint(out / "pretrain.ckpt").optimizer_state["step_count"]
-        assert steps_after > steps_before
+        after = load_checkpoint(out / "pretrain.ckpt")
+        assert (after.optimizer_state["step_count"]
+                > before.optimizer_state["step_count"])
+        for name, p in after.model.params.items():
+            assert p.data.tobytes() == before.model.params[name].data.tobytes(), name
+
+    def test_train_checkpoints_carry_no_optimizer(self, tmp_path):
+        """Only pretrain.ckpt is resumed from, so only it keeps optimizer state."""
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path, mini_config(out))
+        for command in ("synth", "pretrain", "train"):
+            assert main([command, "--config", str(cfg_path)]) == 0
+        assert load_checkpoint(out / "pretrain.ckpt").optimizer_state is not None
+        for name in ("model_step1.ckpt", "model_step2.ckpt", "model.ckpt"):
+            assert load_checkpoint(out / name).optimizer_state is None, name
 
     def test_pretrain_resume_keeps_epochs_completed(self, tmp_path):
         """Resuming with fewer epochs than already ran makes no update and

@@ -351,11 +351,13 @@ class TestCheckpoint:
         path.write_bytes(b"SIDXCKPT" + struct.pack("<Q", len(header)) + header)
         with pytest.raises(ValueError, match="truncated or corrupt checkpoint"):
             load_checkpoint(path)
-        save_checkpoint(path, tiny_model)
+        save_checkpoint(path, tiny_model, optimizer=ad.Optimizer(tiny_model.parameters()))
         raw = path.read_bytes()
         damaged = {
             "a parameter missing from the manifest":
                 raw.replace(b'"param.tok_emb"', b'"param.tok_emX"'),
+            "an optimizer moment missing from the manifest":
+                raw.replace(b'"opt.v.tok_emb"', b'"opt.v.tok_emX"'),
             "one codebook fewer than the model has":
                 rewrite_header(raw, lambda h: h.update(codebooks=h["codebooks"][:1])),
             "unknown config key": rewrite_header(raw, lambda h: h["config"].update(foo=1)),
@@ -372,19 +374,28 @@ class TestCheckpoint:
                 load_checkpoint(path)
 
     def test_older_format_rejected(self, tiny_model, tmp_path):
-        """A format-1 checkpoint (its config still carries ``dropout``) is refused
-        by version, before its config is read."""
+        """A format-1 checkpoint (its config still carries ``dropout``) and a
+        format-2 one (its optimizer header still carries ``lr``) are refused by
+        version, before their config or optimizer is read."""
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, tiny_model)
+        save_checkpoint(path, tiny_model, optimizer=ad.Optimizer(tiny_model.parameters()))
+        raw = path.read_bytes()
 
         def to_format_1(header):
-            assert header["format_version"] == 2 and "dropout" not in header["config"]
+            assert header["format_version"] == 3 and "dropout" not in header["config"]
             header["format_version"] = 1
             header["config"]["dropout"] = 0.0
 
-        path.write_bytes(rewrite_header(path.read_bytes(), to_format_1))
-        with pytest.raises(ValueError, match="unsupported checkpoint format version 1"):
-            load_checkpoint(path)
+        def to_format_2(header):
+            assert set(header["optimizer"]) == {"step_count", "skipped_updates"}
+            header["format_version"] = 2
+            header["optimizer"].update(mode="adam", lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
+
+        for version, edit in ((1, to_format_1), (2, to_format_2)):
+            path.write_bytes(rewrite_header(raw, edit))
+            with pytest.raises(ValueError,
+                               match=f"unsupported checkpoint format version {version}"):
+                load_checkpoint(path)
 
     @pytest.mark.parametrize("writer", ["checkpoint", "index", "assignments", "vocab",
                                         "config"])
