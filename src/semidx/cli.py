@@ -332,6 +332,12 @@ def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
                         "value": metrics_mod.mrr_at_k(runs, judgments, cfg.eval.mrr_k),
                         "query_count": len(runs)})
 
+    def shared_ami(a: dict, b: dict) -> tuple[float, int]:
+        """AMI of two partitions over the items both label, and that count."""
+        common = set(a) & set(b)
+        return (metrics_mod.ami({i: a[i] for i in common}, {i: b[i] for i in common}),
+                len(common))
+
     # partition agreement of code prefixes against item labels
     categories = {iid: it.category for iid, it in corpus.items.items()
                   if it.category is not None}
@@ -339,24 +345,15 @@ def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
     for level in cfg.eval.consistency_levels:
         if level > idx.num_steps:
             continue
-        code_part = metrics_mod.partition_from_ids(
-            {iid: sid for iid, sid in idx.by_item.items()}, level)
+        code_part = metrics_mod.partition_from_ids(idx.by_item, level)
         if categories and level == 1:
-            cat_part = {iid: c for iid, c in categories.items()}
-            common = set(code_part) & set(cat_part)
-            value = metrics_mod.ami({i: code_part[i] for i in common},
-                                    {i: cat_part[i] for i in common})
+            value, count = shared_ami(code_part, categories)
             metrics.append({"name": "ami", "compare": "category", "level": 1,
-                            "value": value, "item_count": len(common)})
-        if paths:
-            depth_ok = all(len(p) >= level for p in paths.values())
-            if depth_ok:
-                path_part = metrics_mod.partition_from_ids(paths, level)
-                common = set(code_part) & set(path_part)
-                value = metrics_mod.ami({i: code_part[i] for i in common},
-                                        {i: path_part[i] for i in common})
-                metrics.append({"name": "ami", "compare": "path", "level": level,
-                                "value": value, "item_count": len(common)})
+                            "value": value, "item_count": count})
+        if paths and all(len(p) >= level for p in paths.values()):
+            value, count = shared_ami(code_part, metrics_mod.partition_from_ids(paths, level))
+            metrics.append({"name": "ami", "compare": "path", "level": level,
+                            "value": value, "item_count": count})
 
     # query-item code consistency on the held-out pairs
     query_codes, _ = index_mod.greedy_decode_rows(model, token_rows, model.trained_steps)
@@ -383,14 +380,11 @@ def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
             emb[start:start + len(tok)] = pre_model.mean_pooled_encoding(tok, mask)
         baseline_codes = index_mod.hierarchical_kmeans_codes(
             emb, cfg.train.codebook_size, cfg.train.num_steps, seed=cfg.seed)
-        sid_map = {iid: code for iid, code in zip(ids, baseline_codes)}
-        base_part = metrics_mod.partition_from_ids(sid_map, 1)
         if categories:
-            common = set(base_part) & set(categories)
-            value = metrics_mod.ami({i: base_part[i] for i in common},
-                                    {i: categories[i] for i in common})
+            base_part = metrics_mod.partition_from_ids(dict(zip(ids, baseline_codes)), 1)
+            value, count = shared_ami(base_part, categories)
             metrics.append({"name": "baseline_kmeans_ami", "compare": "category",
-                            "level": 1, "value": value, "item_count": len(common)})
+                            "level": 1, "value": value, "item_count": count})
         inputs["pretrain_checkpoint"] = pre_path
 
     report = {"config_hash": config_hash(cfg), "metrics": metrics}

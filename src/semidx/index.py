@@ -157,7 +157,8 @@ def beam_search_decode(model: TransformerModel, query_tokens, beam_width: int,
                        depth: int, constrain: bool = False,
                        index: CodeIndex | None = None) -> list[tuple[SemanticId, float]]:
     """``beam_search_decode_batch`` on a one-query batch, so its scores are
-    bit-identical to B=1 exhaustive scoring (``encode``, ``decode_step``)."""
+    bit-identical to B=1 exhaustive scoring (the ``encode`` and
+    ``decode_step`` oracles in ``tests/oracles.py``)."""
     return beam_search_decode_batch(model, [list(query_tokens)], beam_width, depth,
                                     constrain=constrain, index=index)[0]
 
@@ -196,11 +197,7 @@ def beam_search_decode_batch(model: TransformerModel, token_rows: list[list[int]
             mem_rep = ad.Tensor(memory[owners])
             mask_rep = mask[owners]
             states = model.decode_code_states(mem_rep, mask_rep, prefix_arr)
-            d_t = states.data[:, t - 1, :]
-            # one (1, D) x (D, K) product per row, as Codebook.logits computes
-            # it at B=1: one (W, D) x (D, K) GEMM differs in the last bits
-            logits = (d_t[:, None, :] @ model.codebooks[t - 1].embeddings.data.T)[:, 0, :]
-            log_p = ad.log_softmax(ad.Tensor(logits)).data
+            log_p = model.codebooks[t - 1].row_log_probs(states.data[:, t - 1, :])
             row = 0
             for qi, beams in enumerate(per_query):
                 candidates: list[tuple[SemanticId, float]] = []

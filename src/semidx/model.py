@@ -64,7 +64,7 @@ class Codebook:
                  laplace_eps: float = 1e-5, rng: np.random.Generator | None = None):
         if not (0.0 < decay <= 1.0):
             raise ValueError("decay must lie in (0, 1]")
-        if laplace_eps <= 0:
+        if not laplace_eps > 0:
             raise ValueError("laplace_eps must be positive")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.step = int(step)
@@ -90,25 +90,27 @@ class Codebook:
         return self.embeddings.data / np.maximum(norms, 1e-12)
 
     def logits(self, d: Tensor) -> Tensor:
-        """Dot products of decoder states against the codebook rows.
+        """(N, K) dot products of (N, D) decoder states against the rows.
 
         The codebook enters the graph as a constant: code losses train the
         encoder/decoder only, rows move via EMA.
         """
-        single = d.ndim == 1
-        if single:
-            d = ad.reshape(d, (1, -1))
-        out = ad.matmul(d, Tensor(self.embeddings.data.T))
-        return ad.reshape(out, (-1,)) if single else out
+        return ad.matmul(d, Tensor(self.embeddings.data.T))
 
     def distribution(self, d: Tensor) -> Tensor:
         return ad.softmax(self.logits(d), axis=-1)
 
-    def assign(self, d_values: np.ndarray):
-        """Argmax code per row; ties break toward the lowest index."""
-        d_values = np.asarray(d_values, dtype=np.float64)
-        scores = d_values @ self.embeddings.data.T
-        return int(np.argmax(scores)) if scores.ndim == 1 else np.argmax(scores, axis=-1)
+    def row_log_probs(self, d_values: np.ndarray) -> np.ndarray:
+        """(N, K) log code probabilities of (N, D) states from one (1, D) x (D, K)
+        product per row, as ``logits`` takes at B=1: one (N, D) GEMM differs in
+        the last bits, and beam scores stay bit-identical to the B=1 oracle."""
+        logits = (d_values[:, None, :] @ self.embeddings.data.T)[:, 0, :]
+        return ad.log_softmax(Tensor(logits)).data
+
+    def assign(self, d_values: np.ndarray) -> np.ndarray:
+        """Argmax code per row of (N, D) states; ties break toward the lowest index."""
+        scores = np.asarray(d_values, dtype=np.float64) @ self.embeddings.data.T
+        return np.argmax(scores, axis=-1)
 
     def ema_update(self, vectors: np.ndarray, codes: np.ndarray) -> None:
         """Fold one batch of assigned vectors into the moving averages."""
@@ -295,11 +297,6 @@ class TransformerModel:
             x = ad.add(x, self._ff(f"enc{i}.ff", h))
         return ad.layer_norm(x, p["enc_final.g"], p["enc_final.b"])
 
-    def encode(self, tokens: Sequence[int]) -> Tensor:
-        """Single-sequence encoder memory (the B=1 reference for oracles)."""
-        memory = self.encode_batch(*pad_rows([list(tokens)]))
-        return ad.reshape(memory, (memory.shape[1], self.config.hidden_size))
-
     def _decode_stack(self, x: Tensor, self_bias: np.ndarray, memory: Tensor,
                       cross_bias: np.ndarray | None) -> Tensor:
         p = self.params
@@ -334,19 +331,6 @@ class TransformerModel:
         x = ad.add(x, p["pos_dec"][: P + 1])
         cross_bias = _pad_bias(np.asarray(enc_mask, dtype=np.float64))
         return self._decode_stack(x, _causal_bias(P + 1), memory, cross_bias)
-
-    def decode_step(self, memory: Tensor, prefix: Sequence[int], t: int) -> Tensor:
-        """B=1 reference d_t for oracles; ``prefix`` holds exactly t-1 codes."""
-        prefix = tuple(int(c) for c in prefix)
-        if not (1 <= t <= self.config.num_steps):
-            raise ValueError(f"step {t} outside [1, {self.config.num_steps}]")
-        if len(prefix) != t - 1:
-            raise ValueError(f"prefix length {len(prefix)} does not match step {t}")
-        L = memory.shape[0]
-        mem3 = ad.reshape(memory, (1, L, self.config.hidden_size))
-        states = self.decode_code_states(mem3, np.ones((1, L)),
-                                         np.array(prefix, dtype=np.int64).reshape(1, -1))
-        return ad.reshape(states[:, t - 1, :], (self.config.hidden_size,))
 
     def decode_text(self, memory: Tensor, enc_mask: np.ndarray,
                     dec_tokens: np.ndarray, dec_mask: np.ndarray) -> Tensor:
@@ -515,36 +499,45 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
     total = 0
     for entry in header["arrays"]:
         nbytes = 8 * int(np.prod(entry["shape"]))
-        if entry["offset"] + nbytes > len(payload):
-            raise corrupt(f"array {entry['name']} runs past the end of the payload")
+        if entry["offset"] != total or total + nbytes > len(payload):
+            raise corrupt(f"array {entry['name']} is out of order or runs past the payload")
         total += nbytes
     if total != len(payload):
         raise corrupt(f"payload holds {len(payload)} bytes, the manifest {total}")
 
     by_name = {entry["name"]: entry for entry in header["arrays"]}
 
-    def read_array(name: str) -> np.ndarray:
+    def read_array(name: str, like: np.ndarray) -> np.ndarray:
         if name not in by_name:
             raise corrupt(f"array {name} is missing")
         entry = by_name[name]
-        arr = np.frombuffer(payload, dtype="<f8", count=int(np.prod(entry["shape"])),
-                            offset=entry["offset"])
-        return arr.reshape(tuple(entry["shape"])).astype(np.float64)
+        if list(entry["shape"]) != list(like.shape):
+            raise corrupt(f"array {name} has shape {entry['shape']}, the model "
+                          f"expects {list(like.shape)}")
+        arr = np.frombuffer(payload, dtype="<f8", count=like.size, offset=entry["offset"])
+        return arr.reshape(like.shape).astype(np.float64)
 
     config = ModelConfig(**header["config"])
     model = TransformerModel(config, vocab_hash=header["vocab_hash"])
     model.trained_steps = int(header["trained_steps"])
     for name, tensor in model.params.items():
-        tensor.data = read_array(f"param.{name}")
-    if len(header["codebooks"]) != len(model.codebooks):
-        raise corrupt(f"{len(header['codebooks'])} codebooks listed, the model has "
-                      f"{len(model.codebooks)}")
-    for cb, meta in zip(model.codebooks, header["codebooks"]):
-        cb.decay = float(meta["decay"])
-        cb.laplace_eps = float(meta["laplace_eps"])
-        cb.embeddings.data = read_array(f"codebook.{cb.step}.embeddings")
-        cb.ema_counts = read_array(f"codebook.{cb.step}.ema_counts")
-        cb.ema_sums = read_array(f"codebook.{cb.step}.ema_sums")
+        tensor.data = read_array(f"param.{name}", tensor.data)
+    metas = header["codebooks"]
+    if not isinstance(metas, list) or len(metas) != len(model.codebooks):
+        raise corrupt(f"codebooks does not list the model's {len(model.codebooks)} steps")
+    for t, meta in enumerate(metas, start=1):
+        if (not isinstance(meta, dict) or set(meta) != {"step", "decay", "laplace_eps"}
+                or meta["step"] != t):
+            raise corrupt(f"codebook entry {t} is not exactly step {t}, decay, laplace_eps")
+        try:
+            cb = Codebook(step=t, size=config.codebook_size, dim=config.hidden_size,
+                          decay=meta["decay"], laplace_eps=meta["laplace_eps"])
+        except (TypeError, ValueError) as exc:
+            raise corrupt(f"codebook {t}: {exc}") from exc
+        cb.embeddings.data = read_array(f"codebook.{t}.embeddings", cb.embeddings.data)
+        cb.ema_counts = read_array(f"codebook.{t}.ema_counts", cb.ema_counts)
+        cb.ema_sums = read_array(f"codebook.{t}.ema_sums", cb.ema_sums)
+        model.codebooks[t - 1] = cb
 
     opt_state = None
     if header["optimizer"] is not None:
@@ -554,7 +547,8 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
             names = {name[len(tag):] for name in by_name if name.startswith(tag)}
             if names != set(model.params):
                 raise corrupt(f"{tag}* arrays do not match the model's parameters")
-            opt_state[key] = {name: read_array(tag + name) for name in model.params}
+            opt_state[key] = {name: read_array(tag + name, p.data)
+                              for name, p in model.params.items()}
     return CheckpointBundle(model=model, optimizer_state=opt_state, extra=header["extra"])
 
 

@@ -297,16 +297,16 @@ def commitment_targets(fwd: BatchForward, model: TransformerModel) -> np.ndarray
     """(U, T) target codes: frozen prefix for t < T, current argmax at t = T."""
     T = fwd.step
     online = model.codebooks[T - 1].assign(fwd.d_final_unique.data)
-    return np.concatenate([fwd.unique_prefix, np.asarray(online)[:, None]], axis=1)
+    return np.concatenate([fwd.unique_prefix, online[:, None]], axis=1)
 
 
-def commitment_loss(fwd: BatchForward, model: TransformerModel) -> Tensor:
-    """Mean over unique items of the summed per-step code NLL.
+def commitment_loss(fwd: BatchForward, model: TransformerModel,
+                    targets: np.ndarray) -> Tensor:
+    """Mean over unique items of the summed per-step code NLL of ``targets``.
 
     Gradients reach the encoder/decoder only; codebooks are constants in
     this graph and learn via EMA instead.
     """
-    targets = commitment_targets(fwd, model)
     U = len(fwd.unique_item_ids)
     D = model.config.hidden_size
     total = None
@@ -392,7 +392,8 @@ def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
                 kl_value = com_value = 0.0
             else:
                 kl = kl_term(fwd, model)
-                com = commitment_loss(fwd, model)
+                targets = commitment_targets(fwd, model)
+                com = commitment_loss(fwd, model, targets)
                 loss = ad.add(ad.add(con, kl), com)
                 kl_value, com_value = kl.item(), com.item()
             value = loss.item()
@@ -406,9 +407,9 @@ def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
             optimizer.step()
 
             if not warmup:
+                # the step-T rows are unchanged since the targets were taken
                 d_vals = fwd.d_final_unique.data
-                codes = model.codebooks[step - 1].assign(d_vals)
-                model.codebooks[step - 1].ema_update(d_vals, codes)
+                model.codebooks[step - 1].ema_update(d_vals, targets[:, -1])
                 for row in d_vals:
                     donors.append(row.copy())
                 interval = cfg.reinit_interval_batches

@@ -1,17 +1,19 @@
-"""Test-only oracles: the finite-difference gradient checker and the
-codebook row identity. The pipeline never calls them, so they live with
-the tests; pytest's default import mode puts ``tests/`` on ``sys.path``,
-so a test imports them with ``from oracles import ...``."""
+"""Test-only oracles: the finite-difference gradient checker, the codebook
+row identity and the B=1 encoder and decoder references. The pipeline never
+calls them, so they live with the tests; pytest's default import mode puts
+``tests/`` on ``sys.path``, so a test imports them with
+``from oracles import ...``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from semidx import autodiff as ad
 from semidx.autodiff import Tensor
-from semidx.model import Codebook
+from semidx.model import Codebook, TransformerModel, pad_rows
 
 
 class GradCheckError(RuntimeError):
@@ -101,3 +103,25 @@ def row_identity_error(cb: Codebook) -> float:
     """Largest deviation of a codebook row from ema_sums / (ema_counts + eps)."""
     expected = cb.ema_sums / (cb.ema_counts[:, None] + cb.laplace_eps)
     return float(np.max(np.abs(cb.embeddings.data - expected)))
+
+
+def encode(model: TransformerModel, tokens: Sequence[int]) -> Tensor:
+    """Single-sequence encoder memory (L, D): the B=1 reference."""
+    memory = model.encode_batch(*pad_rows([list(tokens)]))
+    return ad.reshape(memory, (memory.shape[1], model.config.hidden_size))
+
+
+def decode_step(model: TransformerModel, memory: Tensor, prefix: Sequence[int],
+                t: int) -> Tensor:
+    """B=1 reference d_t (D,) over an ``encode`` memory; ``prefix`` holds
+    exactly t-1 codes."""
+    prefix = tuple(int(c) for c in prefix)
+    if not (1 <= t <= model.config.num_steps):
+        raise ValueError(f"step {t} outside [1, {model.config.num_steps}]")
+    if len(prefix) != t - 1:
+        raise ValueError(f"prefix length {len(prefix)} does not match step {t}")
+    L = memory.shape[0]
+    mem3 = ad.reshape(memory, (1, L, model.config.hidden_size))
+    states = model.decode_code_states(mem3, np.ones((1, L)),
+                                      np.array(prefix, dtype=np.int64).reshape(1, -1))
+    return ad.reshape(states[:, t - 1, :], (model.config.hidden_size,))

@@ -31,10 +31,16 @@ from semidx.pretrain import (PretrainData, batch_loss, build_item_cloze,
                              build_query_generation, build_suffix_completion)
 from semidx.training import (AlignmentData, batch_forward,
                              build_epoch_entries, build_prefix_batches,
-                             commitment_loss, contrastive_term, kl_term,
-                             progressive_train)
+                             commitment_loss, commitment_targets, contrastive_term,
+                             kl_term, progressive_train)
 
-from oracles import grad_check, row_identity_error
+from oracles import decode_step, encode, grad_check, row_identity_error
+
+
+def commitment(fwd, model):
+    """The commitment loss against the batch's online targets, as training
+    computes it."""
+    return commitment_loss(fwd, model, commitment_targets(fwd, model))
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
@@ -95,7 +101,7 @@ class TestCriterion1GradientFidelity:
                          model.parameters(), eps=1e-5, sample_per_param=3,
                          rng=np.random.default_rng(5))
         worst["alignment/kl"] = rep.max_rel_error
-        rep = grad_check(lambda: commitment_loss(batch_forward(batch, model, adata), model),
+        rep = grad_check(lambda: commitment(batch_forward(batch, model, adata), model),
                          model.parameters(), eps=1e-5, sample_per_param=3,
                          rng=np.random.default_rng(6))
         worst["commitment"] = rep.max_rel_error
@@ -121,9 +127,9 @@ class TestCriterion2QuantizationOracle:
             scores = cb.embeddings.data @ d
             probs = np.exp(scores - scores.max())
             probs /= probs.sum()
-            dist = cb.distribution(ad.Tensor(d)).data
+            dist = cb.distribution(ad.Tensor(d[None])).data[0]
             worst = max(worst, float(np.abs(dist - probs).max()))
-            assert cb.assign(d) == int(np.argmax(scores))
+            assert cb.assign(d[None])[0] == int(np.argmax(scores))
         ok = worst < 1e-10
         assert report("2 quantization-oracle", ok,
                       f"1000 cases, max softmax deviation {worst:.1e}")
@@ -140,13 +146,13 @@ class TestCriterion2QuantizationOracle:
         for _ in range(10):
             tokens = list(rng.integers(3, 30, size=5))
             beams = beam_search_decode(model, tokens, beam_width=K ** T, depth=T)
-            memory = model.encode(tokens)
+            memory = encode(model, tokens)
             scored = []
             for sid in itertools.product(range(K), repeat=T):
                 score = 0.0
                 for t in range(1, T + 1):
-                    d_t = model.decode_step(memory, sid[:t - 1], t)
-                    log_p = ad.log_softmax(model.codebooks[t - 1].logits(d_t)).data
+                    d_t = ad.reshape(decode_step(model, memory, sid[:t - 1], t), (1, -1))
+                    log_p = ad.log_softmax(model.codebooks[t - 1].logits(d_t)).data[0]
                     score = score + float(log_p[sid[t - 1]])
                 scored.append((sid, score))
             scored.sort(key=lambda pair: (-pair[1], pair[0]))
@@ -226,7 +232,7 @@ class TestCriterion4ProgressiveInvariants:
         probe = batches[0]
         fwd = batch_forward(probe, model, data)
         loss = ad.add(ad.add(contrastive_term(fwd), kl_term(fwd, model)),
-                      commitment_loss(fwd, model))
+                      commitment(fwd, model))
         loss.backward()
         grads_ok = all(cb.embeddings.grad is None for cb in model.codebooks)
         ok = freeze_ok and prefix_ok and grads_ok

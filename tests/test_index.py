@@ -15,6 +15,8 @@ from semidx.index import (CodeIndex, assign_all_ids, beam_search_decode,
                           kmeans)
 from semidx.model import ModelConfig, TransformerModel
 
+from oracles import decode_step, encode
+
 
 INDEX_HEADER = {"version": 1, "checkpoint_hash": "", "num_steps": 1, "codebook_size": 2,
                 "item_count": 1}
@@ -158,13 +160,13 @@ class TestBeamSearch:
         for _ in range(5):
             tokens = list(rng.integers(3, 40, size=5))
             beams = beam_search_decode(tiny_model, tokens, beam_width=K ** T, depth=T)
-            memory = tiny_model.encode(tokens)
+            memory = encode(tiny_model, tokens)
             scored = []
             for sid in itertools.product(range(K), repeat=T):
                 score = 0.0
                 for t in range(1, T + 1):
-                    d_t = tiny_model.decode_step(memory, sid[:t - 1], t)
-                    log_p = ad.log_softmax(tiny_model.codebooks[t - 1].logits(d_t)).data
+                    d_t = ad.reshape(decode_step(tiny_model, memory, sid[:t - 1], t), (1, -1))
+                    log_p = ad.log_softmax(tiny_model.codebooks[t - 1].logits(d_t)).data[0]
                     score = score + float(log_p[sid[t - 1]])
                 scored.append((sid, score))
             scored.sort(key=lambda pair: (-pair[1], pair[0]))

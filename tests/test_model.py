@@ -18,7 +18,7 @@ from semidx.model import (Codebook, ModelConfig, TransformerModel,
                           save_checkpoint)
 from semidx.training import FrozenAssignments
 
-from oracles import row_identity_error
+from oracles import decode_step, encode, row_identity_error
 
 
 @pytest.fixture
@@ -60,25 +60,25 @@ class TestConfig:
 class TestEncode:
     def test_shape_contract(self, tiny_model):
         for L in (1, 4, 9):
-            memory = tiny_model.encode(list(range(3, 3 + L)))
+            memory = encode(tiny_model, list(range(3, 3 + L)))
             assert memory.shape == (L, 16)
 
     def test_determinism(self, tiny_model):
-        a = tiny_model.encode([3, 4, 5]).data
-        b = tiny_model.encode([3, 4, 5]).data
+        a = encode(tiny_model, [3, 4, 5]).data
+        b = encode(tiny_model, [3, 4, 5]).data
         assert np.array_equal(a, b)
 
     def test_empty_input_rejected(self, tiny_model):
         with pytest.raises(ValueError):
-            tiny_model.encode([])
+            encode(tiny_model, [])
 
     def test_too_long_rejected(self, tiny_model):
         with pytest.raises(ValueError):
-            tiny_model.encode(list(range(13)))
+            encode(tiny_model, list(range(13)))
 
     def test_padding_invariance(self, tiny_model):
         tokens = [3, 4, 5]
-        plain = tiny_model.encode(tokens).data
+        plain = encode(tiny_model, tokens).data
         padded = np.array([[3, 4, 5, 0, 0, 0]])
         mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0]])
         batched = tiny_model.encode_batch(padded, mask).data[0]
@@ -100,29 +100,42 @@ class TestPadRows:
 
 class TestDecodeStep:
     def test_base_case(self, tiny_model):
-        memory = tiny_model.encode([3, 4])
-        d1 = tiny_model.decode_step(memory, (), 1)
+        memory = encode(tiny_model, [3, 4])
+        d1 = decode_step(tiny_model, memory, (), 1)
         assert d1.shape == (16,)
         assert np.isfinite(d1.data).all()
 
     def test_prefix_length_mismatch(self, tiny_model):
-        memory = tiny_model.encode([3, 4])
+        memory = encode(tiny_model, [3, 4])
         with pytest.raises(ValueError):
-            tiny_model.decode_step(memory, (1,), 1)
+            decode_step(tiny_model, memory, (1,), 1)
         with pytest.raises(ValueError):
-            tiny_model.decode_step(memory, (), 2)
+            decode_step(tiny_model, memory, (), 2)
 
     def test_prefixes_change_output(self, tiny_model):
-        memory = tiny_model.encode([3, 4, 5])
-        a = tiny_model.decode_step(memory, (0,), 2).data
-        b = tiny_model.decode_step(memory, (2,), 2).data
+        memory = encode(tiny_model, [3, 4, 5])
+        a = decode_step(tiny_model, memory, (0,), 2).data
+        b = decode_step(tiny_model, memory, (2,), 2).data
         assert not np.allclose(a, b)
+
+    def test_oracles_match_padded_batch_rows(self, tiny_model):
+        """The B=1 oracles equal their row of a padded two-row batch."""
+        rows, prefix = [[3, 4, 5], [6, 7, 8, 9, 10, 11]], np.array([[2], [0]])
+        tok, mask = pad_rows(rows)
+        memory = tiny_model.encode_batch(tok, mask)
+        states = tiny_model.decode_code_states(memory, mask, prefix).data
+        for i, tokens in enumerate(rows):
+            one = encode(tiny_model, tokens)
+            assert np.allclose(one.data, memory.data[i, :len(tokens)], rtol=0.0, atol=1e-12)
+            for t in (1, 2):
+                d_t = decode_step(tiny_model, one, prefix[i, :t - 1], t).data
+                assert np.allclose(d_t, states[i, t - 1], rtol=0.0, atol=1e-12)
 
     def test_exhaustive_prefixes_finite(self, tiny_model):
         # every K^(t-1) prefix at M=2, K=3
-        memory = tiny_model.encode([4, 7, 9])
+        memory = encode(tiny_model, [4, 7, 9])
         for prefix in itertools.product(range(3), repeat=1):
-            d2 = tiny_model.decode_step(memory, prefix, 2)
+            d2 = decode_step(tiny_model, memory, prefix, 2)
             assert np.isfinite(d2.data).all()
 
 
@@ -130,23 +143,23 @@ class TestCodeDistribution:
     def test_identical_rows_uniform(self, tiny_model):
         cb = tiny_model.codebooks[0]
         cb.embeddings.data = np.tile(cb.embeddings.data[0], (cb.size, 1))
-        d = ad.Tensor(np.random.default_rng(0).normal(size=16))
+        d = ad.Tensor(np.random.default_rng(0).normal(size=(1, 16)))
         dist = tiny_model.codebooks[0].distribution(d)
         assert np.allclose(dist.data, 1.0 / cb.size, atol=1e-12)
 
     def test_sharp_limit_on_orthonormal_rows(self):
         cb = Codebook(step=1, size=4, dim=4, rng=np.random.default_rng(0))
         cb.embeddings.data = np.eye(4)
-        d = ad.Tensor(np.eye(4)[2] * 60.0)
-        dist = cb.distribution(d)
-        assert dist.data.argmax() == 2
-        assert dist.data[2] > 0.999999
+        d = ad.Tensor(np.eye(4)[2:3] * 60.0)
+        dist = cb.distribution(d).data[0]
+        assert dist.argmax() == 2
+        assert dist[2] > 0.999999
 
     def test_matches_direct_softmax(self):
         rng = np.random.default_rng(1)
         cb = Codebook(step=1, size=3, dim=4, rng=rng)
         d = rng.normal(size=4)
-        dist = cb.distribution(ad.Tensor(d)).data
+        dist = cb.distribution(ad.Tensor(d[None])).data[0]
         logits = cb.embeddings.data @ d
         expected = np.exp(logits - logits.max())
         expected /= expected.sum()
@@ -161,10 +174,10 @@ class TestCodeDistribution:
             scores = cb.embeddings.data @ d
             expected = np.exp(scores - scores.max())
             expected /= expected.sum()
-            dist = cb.distribution(ad.Tensor(d)).data
+            dist = cb.distribution(ad.Tensor(d[None])).data[0]
             assert np.allclose(dist, expected, atol=1e-10)
             assert abs(dist.sum() - 1.0) < 1e-9
-            assert cb.assign(d) == int(np.argmax(scores))
+            assert cb.assign(d[None])[0] == int(np.argmax(scores))
 
 
 class TestAssignCode:
@@ -173,21 +186,21 @@ class TestAssignCode:
         cb = Codebook(step=1, size=5, dim=6, rng=rng)
         # row 2 has the largest self dot product after rescaling
         cb.embeddings.data[2] *= 10.0
-        assert cb.assign(cb.embeddings.data[2]) == 2
+        assert cb.assign(cb.embeddings.data[2:3])[0] == 2
 
     def test_tie_breaks_low_index(self):
         cb = Codebook(step=1, size=4, dim=3, rng=np.random.default_rng(3))
         cb.embeddings.data = np.zeros((4, 3))
         cb.embeddings.data[1] = [1.0, 0.0, 0.0]
         cb.embeddings.data[3] = [1.0, 0.0, 0.0]
-        assert cb.assign(np.array([1.0, 0.0, 0.0])) == 1
+        assert cb.assign(np.array([[1.0, 0.0, 0.0]]))[0] == 1
 
     def test_batch_assign(self):
         rng = np.random.default_rng(4)
         cb = Codebook(step=1, size=4, dim=3, rng=rng)
         d = rng.normal(size=(10, 3))
         batch = cb.assign(d)
-        singles = [cb.assign(row) for row in d]
+        singles = [cb.assign(row[None])[0] for row in d]
         assert list(batch) == singles
 
 
@@ -195,9 +208,9 @@ class TestGenerateIds:
     def test_depth_one_composition(self, tiny_model):
         tokens = [5, 6, 7]
         sid, _ = greedy(tiny_model, tokens, 1)
-        memory = tiny_model.encode(tokens)
-        d1 = tiny_model.decode_step(memory, (), 1)
-        assert sid == (tiny_model.codebooks[0].assign(d1.data),)
+        memory = encode(tiny_model, tokens)
+        d1 = decode_step(tiny_model, memory, (), 1)
+        assert sid == (tiny_model.codebooks[0].assign(d1.data[None])[0],)
 
     def test_prefix_property(self, tiny_model):
         tokens = [8, 9]
@@ -219,8 +232,8 @@ class TestGenerateIds:
     def test_final_representation_matches_chain(self, tiny_model):
         tokens = [4, 5, 6]
         sid, rep = greedy(tiny_model, tokens, 2)
-        memory = tiny_model.encode(tokens)
-        d2 = tiny_model.decode_step(memory, sid[:1], 2)
+        memory = encode(tiny_model, tokens)
+        d2 = decode_step(tiny_model, memory, sid[:1], 2)
         assert np.allclose(rep, d2.data, atol=1e-9)
 
     def test_identical_texts_identical_vectors(self, tiny_model):
@@ -372,6 +385,22 @@ class TestCheckpoint:
             path.write_bytes(data)
             with pytest.raises(ValueError, match="truncated or corrupt checkpoint"):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h: next(a for a in h["arrays"] if a["name"] == "param.enc_final.g")
+                     .update(shape=[1, 16]), id="parameter-shape"),
+        pytest.param(lambda h: h["codebooks"][0].pop("decay"), id="codebook-without-decay"),
+        pytest.param(lambda h: h["codebooks"][0].update(laplace_eps=0.0), id="laplace-eps-zero"),
+        pytest.param(lambda h: h["codebooks"][1].update(decay=5.0), id="decay-above-one"),
+        pytest.param(lambda h: h["arrays"][1].update(offset=0), id="overlapping-offset"),
+    ])
+    def test_shape_or_codebook_entry_mismatch_rejected(self, edit, tiny_model, tmp_path):
+        """Each of these once loaded silently or failed with KeyError (exit 3)."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model)
+        path.write_bytes(rewrite_header(path.read_bytes(), edit))
+        with pytest.raises(ValueError, match="truncated or corrupt checkpoint"):
+            load_checkpoint(path)
 
     def test_older_format_rejected(self, tiny_model, tmp_path):
         """A format-1 checkpoint (its config still carries ``dropout``) and a

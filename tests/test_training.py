@@ -13,8 +13,8 @@ from semidx.training import (AlignmentData, BatchForward, FrozenAssignments,
                              PairEntry, SampleGroup, TrainPairBatch,
                              batch_forward,
                              build_epoch_entries, build_prefix_batches,
-                             commitment_loss, contrastive_term, kl_term,
-                             multi_query_sample, progressive_train,
+                             commitment_loss, commitment_targets, contrastive_term,
+                             kl_term, multi_query_sample, progressive_train,
                              train_code_step)
 
 from oracles import grad_check, row_identity_error
@@ -32,6 +32,12 @@ def corpus():
 def vocab(corpus):
     return build_vocab([it.text for it in corpus.items.values()]
                        + [p.query for p in corpus.pairs])
+
+
+def commitment(fwd, model):
+    """The commitment loss against the batch's online targets, as training
+    computes it."""
+    return commitment_loss(fwd, model, commitment_targets(fwd, model))
 
 
 def make_model(vocab, **overrides):
@@ -216,7 +222,7 @@ class TestAlignmentLoss:
         batch = make_batch(data, data.item_ids[:3], step=1)
         fwd = batch_forward(batch, model, data)
         loss = ad.add(ad.add(contrastive_term(fwd), kl_term(fwd, model)),
-                      commitment_loss(fwd, model))
+                      commitment(fwd, model))
         loss.backward()
         for cb in model.codebooks:
             assert cb.embeddings.grad is None
@@ -231,7 +237,7 @@ class TestCommitmentLoss:
         data = AlignmentData.from_corpus(corpus, vocab, 16)
         prefixes = {iid: (0,) for iid in data.item_ids[:3]}
         batch = make_batch(data, data.item_ids[:3], step=2, prefixes=prefixes)
-        got = commitment_loss(batch_forward(batch, model, data), model).item()
+        got = commitment(batch_forward(batch, model, data), model).item()
         assert np.isclose(got, 2 * np.log(model.config.codebook_size), atol=1e-9)
 
     def test_one_hot_distributions_vanish(self, corpus, vocab):
@@ -260,7 +266,7 @@ class TestCommitmentLoss:
                            q_final=fwd.q_final,
                            d_final_unique=Tensor(d2),
                            d_final_entries=fwd.d_final_entries)
-        got = commitment_loss(fwd, model).item()
+        got = commitment(fwd, model).item()
         assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_direct_summation_oracle(self, corpus, vocab):
@@ -271,7 +277,7 @@ class TestCommitmentLoss:
                     for n, iid in enumerate(ids)}
         batch = make_batch(data, ids, step=2, prefixes=prefixes)
         fwd = batch_forward(batch, model, data)
-        got = commitment_loss(fwd, model).item()
+        got = commitment(fwd, model).item()
 
         E1 = model.codebooks[0].embeddings.data
         E2 = model.codebooks[1].embeddings.data
@@ -294,7 +300,7 @@ class TestCommitmentLoss:
         batch = make_batch(data, data.item_ids[:3], step=2, prefixes=prefixes)
 
         def loss_fn():
-            return commitment_loss(batch_forward(batch, model, data), model)
+            return commitment(batch_forward(batch, model, data), model)
 
         report = grad_check(loss_fn, model.parameters(), eps=1e-5,
                             sample_per_param=3, rng=np.random.default_rng(1))
