@@ -179,8 +179,9 @@ def cmd_train(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
     if tcfg.num_steps > model.config.num_steps:
         raise ConfigError(f"schedule asks for {tcfg.num_steps} steps but the model "
                           f"was built with {model.config.num_steps}")
-    for cb in model.codebooks:
-        cb.decay = tcfg.gamma
+    if tcfg.codebook_size != model.config.codebook_size:
+        raise ConfigError(f"schedule asks for {tcfg.codebook_size}-entry codebooks but the "
+                          f"model was built with {model.config.codebook_size}")
 
     data = AlignmentData.from_corpus(corpus, vocab, model.config.max_text_len)
     optimizer = Optimizer(model.parameters(), lr=tcfg.lr)

@@ -152,7 +152,7 @@ def from_dict(payload: dict) -> RunConfig:
     _check_types(RunConfig, payload, "")
     kwargs.update(payload)
     cfg = RunConfig(**kwargs)
-    # cmd_train sets this on each codebook after construction, past its check
+    # the decay train_code_step passes to Codebook.ema_update, which does not check it
     if not 0 < cfg.train.gamma <= 1:
         raise ConfigError(f"train.gamma must lie in (0, 1], not {cfg.train.gamma!r}")
     for key in ("beam_width", "retrieve_cutoff"):

@@ -28,6 +28,9 @@ SemanticId = tuple[int, ...]
 
 _NEG_BIAS = -1e9
 
+# additive smoothing of the EMA counts, so a row never divides by zero
+LAPLACE_EPS = 1e-5
+
 
 @dataclass
 class ModelConfig:
@@ -54,29 +57,21 @@ class ModelConfig:
 
 
 class Codebook:
-    """One step's K x D embedding table plus its EMA statistics.
+    """One step's K x D rows plus their EMA statistics.
 
     Invariant maintained by every update: each row equals
-    ema_sums[j] / (ema_counts[j] + laplace_eps).
+    ema_sums[j] / (ema_counts[j] + LAPLACE_EPS).
     """
 
-    def __init__(self, step: int, size: int, dim: int, decay: float = 0.99,
-                 laplace_eps: float = 1e-5, rng: np.random.Generator | None = None):
-        if not (0.0 < decay <= 1.0):
-            raise ValueError("decay must lie in (0, 1]")
-        if not laplace_eps > 0:
-            raise ValueError("laplace_eps must be positive")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.step = int(step)
+    # the arrays that make up a codebook, in checkpoint order
+    STATE = ("embeddings", "ema_counts", "ema_sums")
+
+    def __init__(self, size: int, dim: int, rng: np.random.Generator):
         self.size = int(size)
-        self.dim = int(dim)
-        self.decay = float(decay)
-        self.laplace_eps = float(laplace_eps)
-        init = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(size, dim))
-        self.embeddings = Tensor(init, requires_grad=True)
+        self.embeddings = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(size, dim))
         self.ema_counts = np.zeros(size, dtype=np.float64)
         # laplace-consistent start so the row identity already holds
-        self.ema_sums = init * self.laplace_eps
+        self.ema_sums = self.embeddings * LAPLACE_EPS
 
     def conditioning_rows(self) -> np.ndarray:
         """Unit-normalized rows used as decoder inputs for assigned codes.
@@ -86,8 +81,8 @@ class Codebook:
         content signal; normalizing keeps the branch identity without the
         amplitude.
         """
-        norms = np.linalg.norm(self.embeddings.data, axis=1, keepdims=True)
-        return self.embeddings.data / np.maximum(norms, 1e-12)
+        norms = np.linalg.norm(self.embeddings, axis=1, keepdims=True)
+        return self.embeddings / np.maximum(norms, 1e-12)
 
     def logits(self, d: Tensor) -> Tensor:
         """(N, K) dot products of (N, D) decoder states against the rows.
@@ -95,7 +90,7 @@ class Codebook:
         The codebook enters the graph as a constant: code losses train the
         encoder/decoder only, rows move via EMA.
         """
-        return ad.matmul(d, Tensor(self.embeddings.data.T))
+        return ad.matmul(d, Tensor(self.embeddings.T))
 
     def distribution(self, d: Tensor) -> Tensor:
         return ad.softmax(self.logits(d), axis=-1)
@@ -104,24 +99,24 @@ class Codebook:
         """(N, K) log code probabilities of (N, D) states from one (1, D) x (D, K)
         product per row, as ``logits`` takes at B=1: one (N, D) GEMM differs in
         the last bits, and beam scores stay bit-identical to the B=1 oracle."""
-        logits = (d_values[:, None, :] @ self.embeddings.data.T)[:, 0, :]
+        logits = (d_values[:, None, :] @ self.embeddings.T)[:, 0, :]
         return ad.log_softmax(Tensor(logits)).data
 
     def assign(self, d_values: np.ndarray) -> np.ndarray:
         """Argmax code per row of (N, D) states; ties break toward the lowest index."""
-        scores = np.asarray(d_values, dtype=np.float64) @ self.embeddings.data.T
+        scores = np.asarray(d_values, dtype=np.float64) @ self.embeddings.T
         return np.argmax(scores, axis=-1)
 
-    def ema_update(self, vectors: np.ndarray, codes: np.ndarray) -> None:
-        """Fold one batch of assigned vectors into the moving averages."""
+    def ema_update(self, vectors: np.ndarray, codes: np.ndarray, decay: float) -> None:
+        """Fold one batch of assigned vectors into the moving averages, each
+        keeping a ``decay`` share of its old value."""
         vectors = np.asarray(vectors, dtype=np.float64)
         codes = np.asarray(codes, dtype=np.int64)
         counts = np.bincount(codes, minlength=self.size).astype(np.float64)
         sums = np.zeros_like(self.ema_sums)
         np.add.at(sums, codes, vectors)
-        g = self.decay
-        self.ema_counts = g * self.ema_counts + (1.0 - g) * counts
-        self.ema_sums = g * self.ema_sums + (1.0 - g) * sums
+        self.ema_counts = decay * self.ema_counts + (1.0 - decay) * counts
+        self.ema_sums = decay * self.ema_sums + (1.0 - decay) * sums
         self._refresh_rows()
 
     def reinit_dead(self, threshold: float, donors: np.ndarray,
@@ -134,13 +129,13 @@ class Codebook:
         for j in dead:
             v = donors[int(rng.integers(len(donors)))]
             self.ema_counts[j] = 1.0
-            self.ema_sums[j] = v * (1.0 + self.laplace_eps)
+            self.ema_sums[j] = v * (1.0 + LAPLACE_EPS)
         if dead.size:
             self._refresh_rows()
         return int(dead.size)
 
     def _refresh_rows(self) -> None:
-        self.embeddings.data = self.ema_sums / (self.ema_counts[:, None] + self.laplace_eps)
+        self.embeddings = self.ema_sums / (self.ema_counts[:, None] + LAPLACE_EPS)
 
     def usage_entropy(self) -> float:
         total = self.ema_counts.sum()
@@ -185,10 +180,8 @@ class TransformerModel:
         rng = rng if rng is not None else np.random.default_rng(config.seed)
         self.params: dict[str, Tensor] = {}
         self._init_params(rng)
-        self.codebooks = [
-            Codebook(step=t, size=config.codebook_size, dim=config.hidden_size, rng=rng)
-            for t in range(1, config.num_steps + 1)
-        ]
+        self.codebooks = [Codebook(config.codebook_size, config.hidden_size, rng)
+                          for _ in range(config.num_steps)]
 
     # ------------------------------------------------------------------
     # parameters
@@ -388,9 +381,10 @@ class TransformerModel:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"SIDXCKPT"
-FORMAT_VERSION = 3
-_HEADER_KEYS = ("arrays", "codebooks", "config", "extra", "format_version", "optimizer",
-                "trained_steps", "vocab_hash")
+FORMAT_VERSION = 4
+_HEADER_KEYS = ("arrays", "config", "extra", "format_version", "optimizer", "trained_steps",
+                "vocab_hash")
+_OPTIMIZER_KEYS = ("step_count", "skipped_updates")
 
 
 @contextmanager
@@ -427,14 +421,12 @@ def save_checkpoint(path: str | Path, model: TransformerModel,
     arrays: list[tuple[str, np.ndarray]] = []
     for name in sorted(model.params):
         arrays.append((f"param.{name}", model.params[name].data))
-    for cb in model.codebooks:
-        arrays.append((f"codebook.{cb.step}.embeddings", cb.embeddings.data))
-        arrays.append((f"codebook.{cb.step}.ema_counts", cb.ema_counts))
-        arrays.append((f"codebook.{cb.step}.ema_sums", cb.ema_sums))
+    for t, cb in enumerate(model.codebooks, start=1):
+        arrays += [(f"codebook.{t}.{key}", getattr(cb, key)) for key in Codebook.STATE]
     opt_meta = None
     if optimizer is not None:
         state = optimizer.state_dict()
-        opt_meta = {k: state[k] for k in ("step_count", "skipped_updates")}
+        opt_meta = {k: state[k] for k in _OPTIMIZER_KEYS}
         for name in sorted(state["m"]):
             arrays.append((f"opt.m.{name}", state["m"][name]))
             arrays.append((f"opt.v.{name}", state["v"][name]))
@@ -450,8 +442,6 @@ def save_checkpoint(path: str | Path, model: TransformerModel,
         "config": asdict(model.config),
         "vocab_hash": model.vocab_hash,
         "trained_steps": model.trained_steps,
-        "codebooks": [{"step": cb.step, "decay": cb.decay, "laplace_eps": cb.laplace_eps}
-                      for cb in model.codebooks],
         "optimizer": opt_meta,
         "extra": extra or {},
         "arrays": manifest,
@@ -463,6 +453,11 @@ def save_checkpoint(path: str | Path, model: TransformerModel,
         fh.write(header_bytes)
         for _, arr in arrays:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def _is_count(value) -> bool:
+    """A non-negative JSON integer (``true`` is not one)."""
+    return type(value) is int and value >= 0
 
 
 def load_checkpoint(path: str | Path) -> CheckpointBundle:
@@ -495,9 +490,27 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         raise corrupt(f"header config does not hold exactly the keys {sorted(config_keys)}")
     if not all(type(v) is int for v in header["config"].values()):
         raise corrupt("header config holds a value that is not an integer")
+    entries = header["arrays"]
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and set(e) == {"name", "shape", "offset"}
+            and isinstance(e["name"], str) and type(e["offset"]) is int
+            and isinstance(e["shape"], list) and all(_is_count(n) for n in e["shape"])
+            for e in entries):
+        raise corrupt("arrays is not a list of {name, shape, offset} entries")
+    num_steps = header["config"]["num_steps"]
+    if not _is_count(header["trained_steps"]) or header["trained_steps"] > num_steps:
+        raise corrupt(f"trained_steps is not an integer in [0, {num_steps}]")
+    if not isinstance(header["extra"], dict):
+        raise corrupt("extra is not a JSON object")
+    opt_meta = header["optimizer"]
+    if opt_meta is not None and (not isinstance(opt_meta, dict)
+                                 or set(opt_meta) != set(_OPTIMIZER_KEYS)
+                                 or not all(_is_count(v) for v in opt_meta.values())):
+        raise corrupt("optimizer is neither null nor exactly two non-negative "
+                      "counts step_count and skipped_updates")
     payload = raw[16 + header_len:]
     total = 0
-    for entry in header["arrays"]:
+    for entry in entries:
         nbytes = 8 * int(np.prod(entry["shape"]))
         if entry["offset"] != total or total + nbytes > len(payload):
             raise corrupt(f"array {entry['name']} is out of order or runs past the payload")
@@ -505,13 +518,15 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
     if total != len(payload):
         raise corrupt(f"payload holds {len(payload)} bytes, the manifest {total}")
 
-    by_name = {entry["name"]: entry for entry in header["arrays"]}
+    by_name = {entry["name"]: entry for entry in entries}
+    unread = set(by_name)
 
     def read_array(name: str, like: np.ndarray) -> np.ndarray:
         if name not in by_name:
             raise corrupt(f"array {name} is missing")
+        unread.discard(name)
         entry = by_name[name]
-        if list(entry["shape"]) != list(like.shape):
+        if entry["shape"] != list(like.shape):
             raise corrupt(f"array {name} has shape {entry['shape']}, the model "
                           f"expects {list(like.shape)}")
         arr = np.frombuffer(payload, dtype="<f8", count=like.size, offset=entry["offset"])
@@ -519,36 +534,22 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
 
     config = ModelConfig(**header["config"])
     model = TransformerModel(config, vocab_hash=header["vocab_hash"])
-    model.trained_steps = int(header["trained_steps"])
+    model.trained_steps = header["trained_steps"]
     for name, tensor in model.params.items():
         tensor.data = read_array(f"param.{name}", tensor.data)
-    metas = header["codebooks"]
-    if not isinstance(metas, list) or len(metas) != len(model.codebooks):
-        raise corrupt(f"codebooks does not list the model's {len(model.codebooks)} steps")
-    for t, meta in enumerate(metas, start=1):
-        if (not isinstance(meta, dict) or set(meta) != {"step", "decay", "laplace_eps"}
-                or meta["step"] != t):
-            raise corrupt(f"codebook entry {t} is not exactly step {t}, decay, laplace_eps")
-        try:
-            cb = Codebook(step=t, size=config.codebook_size, dim=config.hidden_size,
-                          decay=meta["decay"], laplace_eps=meta["laplace_eps"])
-        except (TypeError, ValueError) as exc:
-            raise corrupt(f"codebook {t}: {exc}") from exc
-        cb.embeddings.data = read_array(f"codebook.{t}.embeddings", cb.embeddings.data)
-        cb.ema_counts = read_array(f"codebook.{t}.ema_counts", cb.ema_counts)
-        cb.ema_sums = read_array(f"codebook.{t}.ema_sums", cb.ema_sums)
-        model.codebooks[t - 1] = cb
+    for t, cb in enumerate(model.codebooks, start=1):
+        for key in Codebook.STATE:
+            setattr(cb, key, read_array(f"codebook.{t}.{key}", getattr(cb, key)))
 
     opt_state = None
-    if header["optimizer"] is not None:
-        opt_state = dict(header["optimizer"])
+    if opt_meta is not None:
+        opt_state = dict(opt_meta)
         for key in ("m", "v"):
-            tag = f"opt.{key}."
-            names = {name[len(tag):] for name in by_name if name.startswith(tag)}
-            if names != set(model.params):
-                raise corrupt(f"{tag}* arrays do not match the model's parameters")
-            opt_state[key] = {name: read_array(tag + name, p.data)
+            opt_state[key] = {name: read_array(f"opt.{key}.{name}", p.data)
                               for name, p in model.params.items()}
+    if unread or len(by_name) != len(entries):
+        raise corrupt(f"manifest names arrays the model does not hold, or one twice: "
+                      f"{sorted(unread)}")
     return CheckpointBundle(model=model, optimizer_state=opt_state, extra=header["extra"])
 
 

@@ -29,7 +29,6 @@ class PretrainExample:
     task: str
     input_tokens: list[int]
     target_tokens: list[int]
-    spans: list[tuple[int, int]] | None = None  # cloze spans as (start, length)
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -74,14 +73,11 @@ def sample_cloze_spans(length: int, rng: np.random.Generator) -> list[tuple[int,
     return sorted(spans)
 
 
-def build_item_cloze(item_tokens: list[int], vocab: Vocab, rng: np.random.Generator,
-                     spans: list[tuple[int, int]] | None = None) -> PretrainExample:
+def build_item_cloze(item_tokens: list[int], vocab: Vocab,
+                     rng: np.random.Generator) -> PretrainExample:
     """Replace each sampled span with a distinct sentinel; the target is the
-    complete original text. ``spans`` overrides sampling (test hook; an
-    empty list leaves the input unmasked).
-    """
-    if spans is None:
-        spans = sample_cloze_spans(len(item_tokens), rng)
+    complete original text."""
+    spans = sample_cloze_spans(len(item_tokens), rng)
     masked: list[int] = []
     cursor = 0
     for k, (start, span_len) in enumerate(spans):
@@ -92,7 +88,7 @@ def build_item_cloze(item_tokens: list[int], vocab: Vocab, rng: np.random.Genera
     masked.extend(item_tokens[cursor:])
     tag = vocab.token_id(TASK_CLOZE)
     return PretrainExample(task="item_cloze", input_tokens=[tag] + masked,
-                           target_tokens=list(item_tokens), spans=list(spans))
+                           target_tokens=list(item_tokens))
 
 
 def build_suffix_completion(item_tokens: list[int], query_tokens: list[int],

@@ -29,7 +29,7 @@ from semidx import autodiff as ad
 from semidx.autodiff import Tensor
 from semidx.config import ProgressiveConfig
 from semidx.data import Corpus, Vocab
-from semidx.model import SemanticId, TransformerModel, atomic_writer, pad_rows
+from semidx.model import Codebook, SemanticId, TransformerModel, atomic_writer, pad_rows
 
 logger = logging.getLogger(__name__)
 
@@ -361,17 +361,18 @@ def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
     if step > 1 and (frozen is None or frozen.step != step - 1):
         raise ValueError(f"training step {step} needs frozen assignments of length {step - 1}")
 
+    cb = model.codebooks[step - 1]
+
     def take_snapshot():
-        cb = model.codebooks[step - 1]
         return ({k: p.data.copy() for k, p in model.params.items()},
-                (cb.embeddings.data.copy(), cb.ema_counts.copy(), cb.ema_sums.copy()))
+                {key: getattr(cb, key).copy() for key in Codebook.STATE})
 
     def restore(snap):
-        params, (emb, counts, sums) = snap
+        params, state = snap
         for k, p in model.params.items():
             p.data = params[k]
-        cb = model.codebooks[step - 1]
-        cb.embeddings.data, cb.ema_counts, cb.ema_sums = emb, counts, sums
+        for key, arr in state.items():
+            setattr(cb, key, arr)
 
     snapshot = take_snapshot()
     stats = StepStats(step=step)
@@ -409,13 +410,13 @@ def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
             if not warmup:
                 # the step-T rows are unchanged since the targets were taken
                 d_vals = fwd.d_final_unique.data
-                model.codebooks[step - 1].ema_update(d_vals, targets[:, -1])
+                cb.ema_update(d_vals, targets[:, -1], cfg.gamma)
                 for row in d_vals:
                     donors.append(row.copy())
                 interval = cfg.reinit_interval_batches
                 if interval > 0 and donors and cfg.dead_code_threshold > 0 \
                         and batch_counter % interval == interval - 1:
-                    stats.dead_codes_reinit += model.codebooks[step - 1].reinit_dead(
+                    stats.dead_codes_reinit += cb.reinit_dead(
                         cfg.dead_code_threshold, np.array(donors), rng)
             else:
                 stats.warmup_batches += 1
@@ -430,9 +431,8 @@ def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
                 log_fn(record)
 
         if donors and cfg.dead_code_threshold > 0:
-            n = model.codebooks[step - 1].reinit_dead(
+            stats.dead_codes_reinit += cb.reinit_dead(
                 cfg.dead_code_threshold, np.array(donors), rng)
-            stats.dead_codes_reinit += n
         snapshot = take_snapshot()
 
     codes = assign_step_codes(model, data, frozen, step)
@@ -441,7 +441,7 @@ def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
         prev = frozen.prefix_for(iid) if frozen else ()
         ids[iid] = prev + (codes[iid],)
     model.trained_steps = max(model.trained_steps, step)
-    stats.code_usage_entropy = model.codebooks[step - 1].usage_entropy()
+    stats.code_usage_entropy = cb.usage_entropy()
     return FrozenAssignments(step=step, ids=ids), stats
 
 

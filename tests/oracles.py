@@ -13,7 +13,7 @@ import numpy as np
 
 from semidx import autodiff as ad
 from semidx.autodiff import Tensor
-from semidx.model import Codebook, TransformerModel, pad_rows
+from semidx.model import LAPLACE_EPS, Codebook, TransformerModel, pad_rows
 
 
 class GradCheckError(RuntimeError):
@@ -101,8 +101,8 @@ def grad_check(loss_fn: Callable[[], Tensor],
 
 def row_identity_error(cb: Codebook) -> float:
     """Largest deviation of a codebook row from ema_sums / (ema_counts + eps)."""
-    expected = cb.ema_sums / (cb.ema_counts[:, None] + cb.laplace_eps)
-    return float(np.max(np.abs(cb.embeddings.data - expected)))
+    expected = cb.ema_sums / (cb.ema_counts[:, None] + LAPLACE_EPS)
+    return float(np.max(np.abs(cb.embeddings - expected)))
 
 
 def encode(model: TransformerModel, tokens: Sequence[int]) -> Tensor:

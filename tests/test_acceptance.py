@@ -26,7 +26,7 @@ from semidx.index import beam_search_decode
 from semidx.metrics import (RankedList, ami, contingency_table,
                             expected_mutual_information, mutual_information,
                             mrr_at_k, recall_at_k)
-from semidx.model import Codebook, ModelConfig, TransformerModel
+from semidx.model import LAPLACE_EPS, Codebook, ModelConfig, TransformerModel
 from semidx.pretrain import (PretrainData, batch_loss, build_item_cloze,
                              build_query_generation, build_suffix_completion)
 from semidx.training import (AlignmentData, batch_forward,
@@ -120,11 +120,11 @@ class TestCriterion1GradientFidelity:
 class TestCriterion2QuantizationOracle:
     def test_lookup_against_direct_computation(self):
         rng = np.random.default_rng(51)
-        cb = Codebook(step=1, size=8, dim=6, rng=rng)
+        cb = Codebook(size=8, dim=6, rng=rng)
         worst = 0.0
         for _ in range(1000):
             d = rng.normal(size=6) * rng.uniform(0.1, 4.0)
-            scores = cb.embeddings.data @ d
+            scores = cb.embeddings @ d
             probs = np.exp(scores - scores.max())
             probs /= probs.sum()
             dist = cb.distribution(ad.Tensor(d[None])).data[0]
@@ -168,18 +168,18 @@ class TestCriterion2QuantizationOracle:
 class TestCriterion3EmaCorrectness:
     def test_geometric_convergence_and_row_identity(self):
         rng = np.random.default_rng(61)
-        cb = Codebook(step=1, size=4, dim=5, decay=0.99, laplace_eps=1e-5, rng=rng)
+        cb = Codebook(size=4, dim=5, rng=rng)
         v = rng.normal(size=5)
-        e0 = cb.embeddings.data[2].copy()
+        e0 = cb.embeddings[2].copy()
         identity_ok = row_identity_error(cb) < 1e-12
         for _ in range(200):
-            cb.ema_update(v[None, :], np.array([2]))
+            cb.ema_update(v[None, :], np.array([2]), 0.99)
             identity_ok = identity_ok and row_identity_error(cb) < 1e-12
         g, n = 0.99, 200
-        closed = ((g ** n) * (e0 * cb.laplace_eps) + (1 - g ** n) * v) \
-            / ((1 - g ** n) + cb.laplace_eps)
-        deviation = float(np.abs(cb.embeddings.data[2] - v).max())
-        exact = float(np.abs(cb.embeddings.data[2] - closed).max())
+        closed = ((g ** n) * (e0 * LAPLACE_EPS) + (1 - g ** n) * v) \
+            / ((1 - g ** n) + LAPLACE_EPS)
+        deviation = float(np.abs(cb.embeddings[2] - v).max())
+        exact = float(np.abs(cb.embeddings[2] - closed).max())
         cb.reinit_dead(threshold=1e-3, donors=rng.normal(size=(3, 5)),
                        rng=np.random.default_rng(0))
         identity_ok = identity_ok and row_identity_error(cb) < 1e-12
@@ -233,12 +233,15 @@ class TestCriterion4ProgressiveInvariants:
         fwd = batch_forward(probe, model, data)
         loss = ad.add(ad.add(contrastive_term(fwd), kl_term(fwd, model)),
                       commitment(fwd, model))
+        before = [[getattr(cb, k).copy() for k in Codebook.STATE] for cb in model.codebooks]
         loss.backward()
-        grads_ok = all(cb.embeddings.grad is None for cb in model.codebooks)
-        ok = freeze_ok and prefix_ok and grads_ok
+        codebooks_ok = all(np.array_equal(getattr(cb, k), arr)
+                           for cb, state in zip(model.codebooks, before)
+                           for k, arr in zip(Codebook.STATE, state))
+        ok = freeze_ok and prefix_ok and codebooks_ok
         assert report("4 progressive-invariants", ok,
                       f"freeze={freeze_ok}, batch prefixes={prefix_ok}, "
-                      f"zero codebook grads={grads_ok}")
+                      f"codebooks unchanged by backward={codebooks_ok}")
 
 
 # ---------------------------------------------------------------------------

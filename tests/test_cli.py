@@ -135,6 +135,20 @@ class TestExitCodes:
         vocab_path.write_text(json.dumps(payload))
         assert main(["train", "--config", str(cfg_path)]) == 2
 
+    def test_train_codebook_size_other_than_checkpoint_refused(self, tmp_path, capsys):
+        """A schedule whose codebook size differs from the pre-trained model's
+        is refused before training, not run at the checkpoint's size."""
+        out = tmp_path / "run"
+        cfg = mini_config(out)
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["synth", "--config", str(cfg_path)]) == 0
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+        cfg["train"]["codebook_size"] = 8
+        capsys.readouterr()
+        assert main(["train", "--config", str(write_config(tmp_path, cfg, "k8.json"))]) == 2
+        assert "8-entry codebooks but the model was built with 4" in capsys.readouterr().err
+        assert not (out / "model_step1.ckpt").exists()
+
     def test_corrupt_vocab_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "run"
         cfg_path = write_config(tmp_path, mini_config(out))

@@ -13,7 +13,7 @@ from semidx import autodiff as ad
 from semidx.config import dump_config, from_dict
 from semidx.data import RESERVED_TOKENS, Vocab
 from semidx.index import CodeIndex, greedy_decode_rows
-from semidx.model import (Codebook, ModelConfig, TransformerModel,
+from semidx.model import (LAPLACE_EPS, Codebook, ModelConfig, TransformerModel,
                           checkpoint_hash, load_checkpoint, pad_rows,
                           save_checkpoint)
 from semidx.training import FrozenAssignments
@@ -38,6 +38,11 @@ def rewrite_header(raw: bytes, edit) -> bytes:
     edit(header)
     data = json.dumps(header, sort_keys=True).encode("utf-8")
     return raw[:8] + struct.pack("<Q", len(data)) + data + raw[16 + header_len:]
+
+
+def manifest_entry(header: dict, name: str) -> dict:
+    """The array manifest entry of ``name`` in a checkpoint header."""
+    return next(a for a in header["arrays"] if a["name"] == name)
 
 
 def greedy(model, tokens, depth):
@@ -142,14 +147,14 @@ class TestDecodeStep:
 class TestCodeDistribution:
     def test_identical_rows_uniform(self, tiny_model):
         cb = tiny_model.codebooks[0]
-        cb.embeddings.data = np.tile(cb.embeddings.data[0], (cb.size, 1))
+        cb.embeddings = np.tile(cb.embeddings[0], (cb.size, 1))
         d = ad.Tensor(np.random.default_rng(0).normal(size=(1, 16)))
         dist = tiny_model.codebooks[0].distribution(d)
         assert np.allclose(dist.data, 1.0 / cb.size, atol=1e-12)
 
     def test_sharp_limit_on_orthonormal_rows(self):
-        cb = Codebook(step=1, size=4, dim=4, rng=np.random.default_rng(0))
-        cb.embeddings.data = np.eye(4)
+        cb = Codebook(size=4, dim=4, rng=np.random.default_rng(0))
+        cb.embeddings = np.eye(4)
         d = ad.Tensor(np.eye(4)[2:3] * 60.0)
         dist = cb.distribution(d).data[0]
         assert dist.argmax() == 2
@@ -157,10 +162,10 @@ class TestCodeDistribution:
 
     def test_matches_direct_softmax(self):
         rng = np.random.default_rng(1)
-        cb = Codebook(step=1, size=3, dim=4, rng=rng)
+        cb = Codebook(size=3, dim=4, rng=rng)
         d = rng.normal(size=4)
         dist = cb.distribution(ad.Tensor(d[None])).data[0]
-        logits = cb.embeddings.data @ d
+        logits = cb.embeddings @ d
         expected = np.exp(logits - logits.max())
         expected /= expected.sum()
         assert np.allclose(dist, expected, atol=1e-12)
@@ -168,10 +173,10 @@ class TestCodeDistribution:
     def test_quantization_oracle_1000_random(self):
         """distribution and assign against direct dot-product/softmax."""
         rng = np.random.default_rng(123)
-        cb = Codebook(step=1, size=7, dim=5, rng=rng)
+        cb = Codebook(size=7, dim=5, rng=rng)
         for _ in range(1000):
             d = rng.normal(size=5) * rng.uniform(0.1, 5.0)
-            scores = cb.embeddings.data @ d
+            scores = cb.embeddings @ d
             expected = np.exp(scores - scores.max())
             expected /= expected.sum()
             dist = cb.distribution(ad.Tensor(d[None])).data[0]
@@ -183,21 +188,21 @@ class TestCodeDistribution:
 class TestAssignCode:
     def test_self_match(self):
         rng = np.random.default_rng(2)
-        cb = Codebook(step=1, size=5, dim=6, rng=rng)
+        cb = Codebook(size=5, dim=6, rng=rng)
         # row 2 has the largest self dot product after rescaling
-        cb.embeddings.data[2] *= 10.0
-        assert cb.assign(cb.embeddings.data[2:3])[0] == 2
+        cb.embeddings[2] *= 10.0
+        assert cb.assign(cb.embeddings[2:3])[0] == 2
 
     def test_tie_breaks_low_index(self):
-        cb = Codebook(step=1, size=4, dim=3, rng=np.random.default_rng(3))
-        cb.embeddings.data = np.zeros((4, 3))
-        cb.embeddings.data[1] = [1.0, 0.0, 0.0]
-        cb.embeddings.data[3] = [1.0, 0.0, 0.0]
+        cb = Codebook(size=4, dim=3, rng=np.random.default_rng(3))
+        cb.embeddings = np.zeros((4, 3))
+        cb.embeddings[1] = [1.0, 0.0, 0.0]
+        cb.embeddings[3] = [1.0, 0.0, 0.0]
         assert cb.assign(np.array([[1.0, 0.0, 0.0]]))[0] == 1
 
     def test_batch_assign(self):
         rng = np.random.default_rng(4)
-        cb = Codebook(step=1, size=4, dim=3, rng=rng)
+        cb = Codebook(size=4, dim=3, rng=rng)
         d = rng.normal(size=(10, 3))
         batch = cb.assign(d)
         singles = [cb.assign(row[None])[0] for row in d]
@@ -245,71 +250,71 @@ class TestGenerateIds:
 class TestCodebookEma:
     def test_row_identity_after_updates(self):
         rng = np.random.default_rng(6)
-        cb = Codebook(step=1, size=4, dim=3, rng=rng)
+        cb = Codebook(size=4, dim=3, rng=rng)
         assert row_identity_error(cb) < 1e-12
         for _ in range(20):
             vecs = rng.normal(size=(8, 3))
             codes = rng.integers(0, 4, size=8)
-            cb.ema_update(vecs, codes)
+            cb.ema_update(vecs, codes, 0.99)
             assert row_identity_error(cb) < 1e-12
 
     def test_gamma_one_is_identity(self):
-        cb = Codebook(step=1, size=4, dim=3, decay=1.0, rng=np.random.default_rng(7))
-        before = cb.embeddings.data.copy()
-        cb.ema_update(np.ones((5, 3)), np.zeros(5, dtype=int))
-        assert np.allclose(cb.embeddings.data, before, atol=1e-15)
+        cb = Codebook(size=4, dim=3, rng=np.random.default_rng(7))
+        before = cb.embeddings.copy()
+        cb.ema_update(np.ones((5, 3)), np.zeros(5, dtype=int), 1.0)
+        assert np.allclose(cb.embeddings, before, atol=1e-15)
 
     def test_geometric_series_limit(self):
         """Feeding one constant vector: closed form and 1e-3 convergence."""
         rng = np.random.default_rng(8)
-        cb = Codebook(step=1, size=4, dim=3, decay=0.99, laplace_eps=1e-5, rng=rng)
+        cb = Codebook(size=4, dim=3, rng=rng)
         v = np.array([0.5, -1.0, 2.0])
-        e0 = cb.embeddings.data[1].copy()
+        e0 = cb.embeddings[1].copy()
         n = 200
         for _ in range(n):
-            cb.ema_update(v[None, :], np.array([1]))
+            cb.ema_update(v[None, :], np.array([1]), 0.99)
         g = 0.99
         counts = 1.0 - g ** n
-        sums = (g ** n) * (e0 * cb.laplace_eps) + (1.0 - g ** n) * v
-        expected = sums / (counts + cb.laplace_eps)
-        assert np.allclose(cb.embeddings.data[1], expected, atol=1e-12)
-        assert np.abs(cb.embeddings.data[1] - v).max() < 1e-3
+        sums = (g ** n) * (e0 * LAPLACE_EPS) + (1.0 - g ** n) * v
+        expected = sums / (counts + LAPLACE_EPS)
+        assert np.allclose(cb.embeddings[1], expected, atol=1e-12)
+        assert np.abs(cb.embeddings[1] - v).max() < 1e-3
 
     def test_unassigned_codes_decay_consistently(self):
         rng = np.random.default_rng(9)
-        cb = Codebook(step=1, size=3, dim=2, decay=0.9, rng=rng)
-        cb.ema_update(rng.normal(size=(4, 2)), rng.integers(0, 3, size=4))
+        cb = Codebook(size=3, dim=2, rng=rng)
+        cb.ema_update(rng.normal(size=(4, 2)), rng.integers(0, 3, size=4), 0.9)
         counts, sums = cb.ema_counts.copy(), cb.ema_sums.copy()
-        cb.ema_update(np.zeros((0, 2)), np.zeros(0, dtype=int))
+        cb.ema_update(np.zeros((0, 2)), np.zeros(0, dtype=int), 0.9)
         assert np.allclose(cb.ema_counts, 0.9 * counts)
         assert np.allclose(cb.ema_sums, 0.9 * sums)
-        expected = (0.9 * sums) / (0.9 * counts + cb.laplace_eps)[:, None]
-        assert np.allclose(cb.embeddings.data, expected, atol=1e-12)
+        expected = (0.9 * sums) / (0.9 * counts + LAPLACE_EPS)[:, None]
+        assert np.allclose(cb.embeddings, expected, atol=1e-12)
 
     def test_dead_code_reinit(self):
         rng = np.random.default_rng(10)
-        cb = Codebook(step=1, size=3, dim=2, rng=rng)
-        cb.ema_update(np.ones((6, 2)), np.array([0, 0, 0, 1, 1, 1]))
+        cb = Codebook(size=3, dim=2, rng=rng)
+        cb.ema_update(np.ones((6, 2)), np.array([0, 0, 0, 1, 1, 1]), 0.99)
         donor = np.array([[5.0, -5.0]])
         n = cb.reinit_dead(threshold=1e-3, donors=donor, rng=np.random.default_rng(0))
         assert n == 1
-        assert np.allclose(cb.embeddings.data[2], donor[0], atol=1e-12)
+        assert np.allclose(cb.embeddings[2], donor[0], atol=1e-12)
         assert row_identity_error(cb) < 1e-12
 
     def test_reinit_noop_cases(self):
         rng = np.random.default_rng(11)
-        cb = Codebook(step=1, size=2, dim=2, rng=rng)
-        cb.ema_update(np.ones((4, 2)), np.array([0, 0, 1, 1]))
-        before = cb.embeddings.data.copy()
+        cb = Codebook(size=2, dim=2, rng=rng)
+        cb.ema_update(np.ones((4, 2)), np.array([0, 0, 1, 1]), 0.99)
+        before = cb.embeddings.copy()
         assert cb.reinit_dead(1e-6, np.empty((0, 2)), np.random.default_rng(0)) == 0
         assert cb.reinit_dead(1e-6, np.ones((1, 2)), np.random.default_rng(0)) == 0
-        assert np.array_equal(cb.embeddings.data, before)
+        assert np.array_equal(cb.embeddings, before)
 
 
 class TestCheckpoint:
     def test_bit_exact_roundtrip(self, tiny_model, tmp_path):
         path = tmp_path / "m.ckpt"
-        tiny_model.codebooks[0].ema_update(np.ones((4, 16)), np.array([0, 1, 2, 0]))
+        tiny_model.codebooks[0].ema_update(np.ones((4, 16)), np.array([0, 1, 2, 0]), 0.99)
         save_checkpoint(path, tiny_model, extra={"note": 1})
         bundle = load_checkpoint(path)
         again = tmp_path / "m2.ckpt"
@@ -371,8 +376,11 @@ class TestCheckpoint:
                 raw.replace(b'"param.tok_emb"', b'"param.tok_emX"'),
             "an optimizer moment missing from the manifest":
                 raw.replace(b'"opt.v.tok_emb"', b'"opt.v.tok_emX"'),
-            "one codebook fewer than the model has":
-                rewrite_header(raw, lambda h: h.update(codebooks=h["codebooks"][:1])),
+            "a config with fewer steps than the codebook arrays":
+                rewrite_header(raw, lambda h: (h["config"].update(num_steps=1),
+                                               h.update(trained_steps=1))),
+            "optimizer arrays without an optimizer header":
+                rewrite_header(raw, lambda h: h.update(optimizer=None)),
             "unknown config key": rewrite_header(raw, lambda h: h["config"].update(foo=1)),
             "missing config key":
                 rewrite_header(raw, lambda h: h["config"].pop("hidden_size")),
@@ -381,17 +389,23 @@ class TestCheckpoint:
                 rewrite_header(raw, lambda h: h["config"].update(hidden_size="16")),
             "config value a float":
                 rewrite_header(raw, lambda h: h["config"].update(hidden_size=16.0))}
+        # the last array again, under its own name and with its own bytes
+        header_len = int.from_bytes(raw[8:16], "little")
+        last = json.loads(raw[16:16 + header_len])["arrays"][-1]
+        size = 8 * int(np.prod(last["shape"]))
+        twice = rewrite_header(raw, lambda h: h["arrays"].append(
+            dict(last, offset=last["offset"] + size))) + raw[-size:]
+        damaged["an array named twice"] = twice
         for what, data in damaged.items():
             path.write_bytes(data)
             with pytest.raises(ValueError, match="truncated or corrupt checkpoint"):
                 load_checkpoint(path)
 
     @pytest.mark.parametrize("edit", [
-        pytest.param(lambda h: next(a for a in h["arrays"] if a["name"] == "param.enc_final.g")
-                     .update(shape=[1, 16]), id="parameter-shape"),
-        pytest.param(lambda h: h["codebooks"][0].pop("decay"), id="codebook-without-decay"),
-        pytest.param(lambda h: h["codebooks"][0].update(laplace_eps=0.0), id="laplace-eps-zero"),
-        pytest.param(lambda h: h["codebooks"][1].update(decay=5.0), id="decay-above-one"),
+        pytest.param(lambda h: manifest_entry(h, "param.enc_final.g").update(shape=[1, 16]),
+                     id="parameter-shape"),
+        pytest.param(lambda h: manifest_entry(h, "codebook.2.ema_sums")
+                     .update(name="codebook.2.ema_sumX"), id="codebook-array-missing"),
         pytest.param(lambda h: h["arrays"][1].update(offset=0), id="overlapping-offset"),
     ])
     def test_shape_or_codebook_entry_mismatch_rejected(self, edit, tiny_model, tmp_path):
@@ -402,16 +416,38 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated or corrupt checkpoint"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h: manifest_entry(h, "param.enc_final.g").update(shape=16),
+                     id="shape-not-a-list"),
+        pytest.param(lambda h: manifest_entry(h, "param.enc_final.g").update(shape=[16.0]),
+                     id="shape-of-floats"),
+        pytest.param(lambda h: h.update(trained_steps=9), id="trained-steps-above-num-steps"),
+        pytest.param(lambda h: h.update(trained_steps="2"), id="trained-steps-a-string"),
+        pytest.param(lambda h: h.update(extra=[]), id="extra-a-list"),
+        pytest.param(lambda h: h.update(optimizer={}), id="optimizer-without-counts"),
+        pytest.param(lambda h: h["optimizer"].update(step_count=-1),
+                     id="optimizer-negative-count"),
+    ])
+    def test_header_field_of_wrong_type_or_range_rejected(self, edit, tiny_model, tmp_path):
+        """Each of these once loaded silently, or failed later or with
+        TypeError (exit 3)."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_model, optimizer=ad.Optimizer(tiny_model.parameters()))
+        path.write_bytes(rewrite_header(path.read_bytes(), edit))
+        with pytest.raises(ValueError, match="truncated or corrupt checkpoint"):
+            load_checkpoint(path)
+
     def test_older_format_rejected(self, tiny_model, tmp_path):
-        """A format-1 checkpoint (its config still carries ``dropout``) and a
-        format-2 one (its optimizer header still carries ``lr``) are refused by
-        version, before their config or optimizer is read."""
+        """A format-1 checkpoint (its config still carries ``dropout``), a
+        format-2 one (its optimizer header still carries ``lr``) and a format-3
+        one (its header still lists ``codebooks``) are refused by version,
+        before their config or optimizer is read."""
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, tiny_model, optimizer=ad.Optimizer(tiny_model.parameters()))
         raw = path.read_bytes()
 
         def to_format_1(header):
-            assert header["format_version"] == 3 and "dropout" not in header["config"]
+            assert header["format_version"] == 4 and "dropout" not in header["config"]
             header["format_version"] = 1
             header["config"]["dropout"] = 0.0
 
@@ -420,7 +456,13 @@ class TestCheckpoint:
             header["format_version"] = 2
             header["optimizer"].update(mode="adam", lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
 
-        for version, edit in ((1, to_format_1), (2, to_format_2)):
+        def to_format_3(header):
+            assert "codebooks" not in header
+            header["format_version"] = 3
+            header["codebooks"] = [{"step": t, "decay": 0.99, "laplace_eps": 1e-5}
+                                   for t in (1, 2)]
+
+        for version, edit in ((1, to_format_1), (2, to_format_2), (3, to_format_3)):
             path.write_bytes(rewrite_header(raw, edit))
             with pytest.raises(ValueError,
                                match=f"unsupported checkpoint format version {version}"):

@@ -76,25 +76,21 @@ class TestItemCloze:
             spans = sample_cloze_spans(2, rng)
             assert spans == [(spans[0][0], 1)]
 
-    def test_zero_spans_hook_is_identity(self, vocab):
-        item = toks(vocab, 8)
-        ex = build_item_cloze(item, vocab, np.random.default_rng(0), spans=[])
-        assert ex.input_tokens[1:] == item
-        assert ex.target_tokens == item
-
     def test_target_is_complete_text_and_demask_roundtrip(self, vocab):
-        rng = np.random.default_rng(4)
+        # build_item_cloze draws only its spans, so a twin generator replays them
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
         item = toks(vocab, 10)
         sentinel_ids = {vocab.index[s] for s in MASK_SENTINELS}
         for _ in range(200):
             ex = build_item_cloze(item, vocab, rng)
+            spans = sample_cloze_spans(len(item), twin)
             assert ex.target_tokens == item
             # re-insert the masked spans from the target: original restored
             rebuilt = []
             cursor = 0
             for tok in ex.input_tokens[1:]:
                 if tok in sentinel_ids:
-                    k = sorted(ex.spans)[[vocab.index[s] for s in MASK_SENTINELS].index(tok)]
+                    k = spans[[vocab.index[s] for s in MASK_SENTINELS].index(tok)]
                     rebuilt.extend(ex.target_tokens[k[0]:k[0] + k[1]])
                     cursor = k[0] + k[1]
                 else:
@@ -103,12 +99,12 @@ class TestItemCloze:
             assert rebuilt == item
 
     def test_distinct_sentinels(self, vocab):
-        rng = np.random.default_rng(5)
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
         sentinel_ids = {vocab.index[s] for s in MASK_SENTINELS}
         for _ in range(300):
             ex = build_item_cloze(toks(vocab, 12), vocab, rng)
             used = [t for t in ex.input_tokens if t in sentinel_ids]
-            assert len(used) == len(set(used)) == len(ex.spans)
+            assert len(used) == len(set(used)) == len(sample_cloze_spans(12, twin))
 
 
 class TestSuffixCompletion:

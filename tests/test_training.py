@@ -8,7 +8,7 @@ from semidx import autodiff as ad
 from semidx.autodiff import Optimizer, Tensor
 from semidx.config import ProgressiveConfig
 from semidx.data import Corpus, build_vocab, synth_corpus
-from semidx.model import ModelConfig, TransformerModel
+from semidx.model import Codebook, ModelConfig, TransformerModel
 from semidx.training import (AlignmentData, BatchForward, FrozenAssignments,
                              PairEntry, SampleGroup, TrainPairBatch,
                              batch_forward,
@@ -181,7 +181,7 @@ class TestAlignmentLoss:
         s = q @ d.T
         B = len(q)
         expected = np.mean([-(s[i, i] - np.log(np.exp(s[i]).sum())) for i in range(B)])
-        E = model.codebooks[0].embeddings.data
+        E = model.codebooks[0].embeddings
         for i in range(B):
             lq = fwd.q_states.data[i, 0] @ E.T
             ld = fwd.d_states.data[fwd.entry_item_idx[i], 0] @ E.T
@@ -223,9 +223,13 @@ class TestAlignmentLoss:
         fwd = batch_forward(batch, model, data)
         loss = ad.add(ad.add(contrastive_term(fwd), kl_term(fwd, model)),
                       commitment(fwd, model))
+        optimizer = Optimizer(model.parameters(), lr=1e-3)
+        before = [{k: getattr(cb, k).copy() for k in Codebook.STATE} for cb in model.codebooks]
         loss.backward()
-        for cb in model.codebooks:
-            assert cb.embeddings.grad is None
+        optimizer.step()
+        for cb, state in zip(model.codebooks, before):
+            for k, arr in state.items():
+                assert getattr(cb, k).tobytes() == arr.tobytes(), k
         assert any(p.grad is not None for p in model.parameters().values())
 
 
@@ -233,7 +237,7 @@ class TestCommitmentLoss:
     def test_uniform_distributions_give_t_log_k(self, corpus, vocab):
         model = make_model(vocab)
         for cb in model.codebooks:
-            cb.embeddings.data = np.tile(cb.embeddings.data[0], (cb.size, 1))
+            cb.embeddings = np.tile(cb.embeddings[0], (cb.size, 1))
         data = AlignmentData.from_corpus(corpus, vocab, 16)
         prefixes = {iid: (0,) for iid in data.item_ids[:3]}
         batch = make_batch(data, data.item_ids[:3], step=2, prefixes=prefixes)
@@ -248,7 +252,7 @@ class TestCommitmentLoss:
         basis = np.zeros((K, D))
         basis[np.arange(K), np.arange(K)] = 30.0
         for cb in model.codebooks:
-            cb.embeddings.data = basis.copy()
+            cb.embeddings = basis.copy()
         targets1 = np.array([1, 3, 0])
         targets2 = np.array([2, 2, 1])
         d1 = basis[targets1]
@@ -279,8 +283,8 @@ class TestCommitmentLoss:
         fwd = batch_forward(batch, model, data)
         got = commitment(fwd, model).item()
 
-        E1 = model.codebooks[0].embeddings.data
-        E2 = model.codebooks[1].embeddings.data
+        E1 = model.codebooks[0].embeddings
+        E2 = model.codebooks[1].embeddings
         expected = 0.0
         for u, iid in enumerate(fwd.unique_item_ids):
             d1 = fwd.d_states.data[u, 0]
