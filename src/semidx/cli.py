@@ -132,7 +132,10 @@ def cmd_pretrain(cfg: RunConfig, resume_from: str | None = None) -> int:
         vocab = _load_vocab(cfg)
         if vocab.content_hash() != model.vocab_hash:
             raise ConfigError("vocabulary hash does not match the resume checkpoint")
-        start_epoch = int(bundle.extra.get("epochs_completed", 0))
+        start_epoch = bundle.extra.get("epochs_completed", 0)
+        if type(start_epoch) is not int or start_epoch < 0:
+            raise ValueError(f"{resume_from}: truncated or corrupt checkpoint "
+                             "(epochs_completed is not a non-negative integer)")
         optimizer_state = bundle.optimizer_state
     else:
         texts = [it.text for it in corpus.items.values()] + [p.query for p in corpus.pairs]
@@ -187,13 +190,14 @@ def cmd_train(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
     optimizer = Optimizer(model.parameters(), lr=tcfg.lr)
     log, fh = _jsonl_logger(out / "train_log.jsonl")
     try:
-        for frozen, stats in progressive_train(model, optimizer, data, tcfg, cfg.seed,
-                                               log_fn=log):
-            step_ckpt = out / f"model_step{frozen.step}.ckpt"
+        for assigned, stats in progressive_train(model, optimizer, data, tcfg, cfg.seed,
+                                                 log_fn=log):
+            step = assigned.num_steps
+            step_ckpt = out / f"model_step{step}.ckpt"
             save_checkpoint(step_ckpt, model)
-            frozen.checkpoint_hash = checkpoint_hash(step_ckpt)
-            frozen.save(out / f"assignments_step{frozen.step}.json")
-            log({"phase": "step_summary", "step": frozen.step,
+            assigned.checkpoint_hash = checkpoint_hash(step_ckpt)
+            assigned.save(out / f"assignments_step{step}.json")
+            log({"phase": "step_summary", "step": step,
                  "code_usage_entropy": stats.code_usage_entropy,
                  "dead_codes_reinit": stats.dead_codes_reinit,
                  "skipped_updates": optimizer.skipped_updates,

@@ -106,17 +106,28 @@ class CodeIndex:
             raise corrupt(f"lacks {', '.join(missing)}")
         if payload["version"] != 1:
             raise ValueError(f"unsupported index version {payload['version']!r}")
+        depth, size = payload["num_steps"], payload["codebook_size"]
+        if type(depth) is not int or depth < 1:
+            raise corrupt("num_steps is not an integer >= 1")
+        if type(size) is not int or size < 2:
+            raise corrupt("codebook_size is not an integer >= 2")
+        if type(payload["item_count"]) is not int:
+            raise corrupt("item_count is not an integer")
+        if not isinstance(payload["checkpoint_hash"], str):
+            raise corrupt("checkpoint_hash is not a string")
         if (expected_checkpoint_hash is not None
                 and payload["checkpoint_hash"] != expected_checkpoint_hash):
             raise ValueError("index was built from a different model checkpoint")
         if not isinstance(payload["assignments"], list):
             raise corrupt("assignments is not a list")
-        idx = cls(num_steps=payload["num_steps"], codebook_size=payload["codebook_size"],
+        idx = cls(num_steps=depth, codebook_size=size,
                   checkpoint_hash=payload["checkpoint_hash"])
         for i, row in enumerate(payload["assignments"]):
             if not (isinstance(row, list) and len(row) == 2 and isinstance(row[0], list)
-                    and all(isinstance(c, int) for c in row[0]) and isinstance(row[1], str)):
+                    and all(type(c) is int for c in row[0]) and isinstance(row[1], str)):
                 raise corrupt(f"assignment row {i} is not [list of ints, str]")
+            if len(row[0]) != depth:
+                raise corrupt(f"assignment row {i} has {len(row[0])} codes, not {depth}")
             idx.insert(row[1], tuple(row[0]))
         if len(idx) != payload["item_count"]:
             raise ValueError("index item count mismatch")

@@ -15,13 +15,11 @@ denominators.
 
 from __future__ import annotations
 
-import json
 import logging
 import warnings
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -29,7 +27,8 @@ from semidx import autodiff as ad
 from semidx.autodiff import Tensor
 from semidx.config import ProgressiveConfig
 from semidx.data import Corpus, Vocab
-from semidx.model import Codebook, SemanticId, TransformerModel, atomic_writer, pad_rows
+from semidx.index import CodeIndex
+from semidx.model import Codebook, SemanticId, TransformerModel, pad_rows
 
 logger = logging.getLogger(__name__)
 
@@ -79,33 +78,6 @@ class TrainPairBatch:
 
 
 @dataclass
-class FrozenAssignments:
-    """Code assignments of length ``step`` for every item, immutable during
-    training of any later step."""
-
-    step: int
-    ids: dict[str, SemanticId]
-    checkpoint_hash: str = ""
-
-    def __post_init__(self):
-        for item_id, sid in self.ids.items():
-            if len(sid) != self.step:
-                raise ValueError(f"assignment for {item_id!r} has length {len(sid)}, "
-                                 f"expected {self.step}")
-
-    def prefix_for(self, item_id: str) -> SemanticId:
-        if item_id not in self.ids:
-            raise KeyError(f"no frozen assignment for item {item_id!r}")
-        return self.ids[item_id]
-
-    def save(self, path: str | Path) -> None:
-        payload = {"step": self.step, "checkpoint_hash": self.checkpoint_hash,
-                   "ids": {k: list(v) for k, v in sorted(self.ids.items())}}
-        with atomic_writer(path) as fh:
-            fh.write(json.dumps(payload, sort_keys=True).encode("utf-8"))
-
-
-@dataclass
 class AlignmentData:
     """Tokenized pair corpus used by the progressive trainer."""
 
@@ -152,22 +124,20 @@ def build_epoch_entries(data: AlignmentData, m: int,
     return entries
 
 
-def build_prefix_batches(frozen: FrozenAssignments | None, entries: list[PairEntry],
-                         step: int, group_size: int, batch_size: int,
-                         rng: np.random.Generator) -> list[TrainPairBatch]:
-    """Partition entries by frozen prefix, chunk into groups, pack batches.
+def build_prefix_batches(frozen: CodeIndex, entries: list[PairEntry], group_size: int,
+                         batch_size: int, rng: np.random.Generator) -> list[TrainPairBatch]:
+    """Partition entries by frozen prefix, chunk into groups, pack batches
+    for the step after ``frozen``'s depth.
 
     Whole groups are concatenated until the batch reaches ``batch_size``.
     Prefix classes (or chunk leftovers) with a single entry are pooled into
     residual groups, which carry mixed prefixes and are flagged as such.
     """
-    if step < 1:
-        raise ValueError("step must be >= 1")
+    step = frozen.num_steps + 1
     buckets: dict[SemanticId, list[PairEntry]] = {}
     for e in entries:
-        prefix = () if step == 1 else frozen.prefix_for(e.item_id)
-        e.prefix = prefix
-        buckets.setdefault(prefix, []).append(e)
+        e.prefix = frozen.by_item[e.item_id]
+        buckets.setdefault(e.prefix, []).append(e)
 
     groups: list[SampleGroup] = []
     residual_pool: list[PairEntry] = []
@@ -246,9 +216,8 @@ def batch_forward(batch: TrainPairBatch, model: TransformerModel,
     q_states = model.decode_code_states(q_memory, q_mask, q_prefix)
     d_states = model.decode_code_states(d_memory, d_mask, d_prefix)
 
-    D = model.config.hidden_size
-    q_final = ad.reshape(q_states[:, T - 1, :], (len(entries), D))
-    d_final_unique = ad.reshape(d_states[:, T - 1, :], (len(unique_ids), D))
+    q_final = q_states[:, T - 1, :]
+    d_final_unique = d_states[:, T - 1, :]
     d_final_entries = ad.embedding(d_final_unique, entry_item_idx)
     return BatchForward(step=T, entry_item_idx=entry_item_idx,
                         unique_item_ids=unique_ids, unique_prefix=d_prefix,
@@ -278,15 +247,11 @@ def kl_term(fwd: BatchForward, model: TransformerModel) -> Tensor:
     """Sum over steps t=1..T of KL(query code dist || item code dist);
     gradients reach both sides."""
     B = fwd.q_final.shape[0]
-    D = model.config.hidden_size
-    U = len(fwd.unique_item_ids)
     total = None
     for t in range(1, fwd.step + 1):
         cb = model.codebooks[t - 1]
-        q_t = ad.reshape(fwd.q_states[:, t - 1, :], (B, D))
-        d_t = ad.reshape(fwd.d_states[:, t - 1, :], (U, D))
-        p_q = cb.distribution(q_t)
-        p_d_unique = cb.distribution(d_t)
+        p_q = cb.distribution(fwd.q_states[:, t - 1, :])
+        p_d_unique = cb.distribution(fwd.d_states[:, t - 1, :])
         p_d = ad.embedding(p_d_unique, fwd.entry_item_idx)
         kl = ad.kl_divergence(p_q, p_d)
         total = kl if total is None else ad.add(total, kl)
@@ -308,12 +273,10 @@ def commitment_loss(fwd: BatchForward, model: TransformerModel,
     this graph and learn via EMA instead.
     """
     U = len(fwd.unique_item_ids)
-    D = model.config.hidden_size
     total = None
     for t in range(1, fwd.step + 1):
         cb = model.codebooks[t - 1]
-        d_t = ad.reshape(fwd.d_states[:, t - 1, :], (U, D))
-        log_q = ad.log_softmax(cb.logits(d_t), axis=-1)
+        log_q = ad.log_softmax(cb.logits(fwd.d_states[:, t - 1, :]), axis=-1)
         picked = ad.take_along_last(log_q, targets[:, t - 1])
         total = picked if total is None else ad.add(total, picked)
     return ad.mul(ad.sum_(total), -1.0 / U)
@@ -324,22 +287,22 @@ def commitment_loss(fwd: BatchForward, model: TransformerModel,
 # ---------------------------------------------------------------------------
 
 def assign_step_codes(model: TransformerModel, data: AlignmentData,
-                      frozen: FrozenAssignments | None, step: int) -> dict[str, int]:
-    """Greedy step-``step`` code for every item, conditioned on its frozen
-    prefix, 256 items per pass; pure inference."""
-    out: dict[str, int] = {}
+                      frozen: CodeIndex) -> CodeIndex:
+    """The next-depth index: every item's frozen ID extended by its greedy
+    code for the next step, 256 items per pass; pure inference."""
+    step = frozen.num_steps + 1
+    out = CodeIndex(num_steps=step, codebook_size=frozen.codebook_size)
     ids = data.item_ids
     for start in range(0, len(ids), 256):
         batch_ids = ids[start:start + 256]
         tok, mask = pad_rows([data.item_tokens[i] for i in batch_ids])
-        prefix = np.array([list(frozen.prefix_for(i)) if frozen else []
-                           for i in batch_ids], dtype=np.int64).reshape(len(batch_ids), step - 1)
+        prefixes = [frozen.by_item[i] for i in batch_ids]
+        prefix = np.array(prefixes, dtype=np.int64).reshape(len(batch_ids), step - 1)
         memory = model.encode_batch(tok, mask)
         states = model.decode_code_states(memory, mask, prefix)
-        d_t = states.data[:, step - 1, :]
-        codes = model.codebooks[step - 1].assign(d_t)
-        for iid, c in zip(batch_ids, codes):
-            out[iid] = int(c)
+        codes = model.codebooks[step - 1].assign(states.data[:, step - 1, :])
+        for iid, sid, c in zip(batch_ids, prefixes, codes):
+            out.insert(iid, sid + (int(c),))
     return out
 
 
@@ -353,14 +316,12 @@ class StepStats:
 
 
 def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
-                    frozen: FrozenAssignments | None, step: int,
-                    cfg: ProgressiveConfig, rng: np.random.Generator,
-                    log_fn=None) -> tuple[FrozenAssignments, StepStats]:
-    """Train step ``step``: contrastive-only warm-up, then the full loss
-    with EMA codebook updates, then a frozen assignment pass."""
-    if step > 1 and (frozen is None or frozen.step != step - 1):
-        raise ValueError(f"training step {step} needs frozen assignments of length {step - 1}")
-
+                    frozen: CodeIndex, cfg: ProgressiveConfig, rng: np.random.Generator,
+                    log_fn=None) -> tuple[CodeIndex, StepStats]:
+    """Train the step after ``frozen``'s depth: contrastive-only warm-up,
+    then the full loss with EMA codebook updates, then a frozen assignment
+    pass."""
+    step = frozen.num_steps + 1
     cb = model.codebooks[step - 1]
 
     def take_snapshot():
@@ -381,8 +342,7 @@ def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
 
     for epoch in range(cfg.epochs_per_step):
         entries = build_epoch_entries(data, cfg.queries_per_item, rng)
-        batches = build_prefix_batches(frozen, entries, step, cfg.group_size,
-                                       cfg.batch_size, rng)
+        batches = build_prefix_batches(frozen, entries, cfg.group_size, cfg.batch_size, rng)
         for batch in batches:
             batch.check_prefix_property()
             warmup = batch_counter < cfg.warmup_batches
@@ -435,33 +395,31 @@ def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
                 cfg.dead_code_threshold, np.array(donors), rng)
         snapshot = take_snapshot()
 
-    codes = assign_step_codes(model, data, frozen, step)
-    ids = {}
-    for iid in data.item_ids:
-        prev = frozen.prefix_for(iid) if frozen else ()
-        ids[iid] = prev + (codes[iid],)
+    assigned = assign_step_codes(model, data, frozen)
     model.trained_steps = max(model.trained_steps, step)
     stats.code_usage_entropy = cb.usage_entropy()
-    return FrozenAssignments(step=step, ids=ids), stats
+    return assigned, stats
 
 
 def progressive_train(model: TransformerModel, optimizer, data: AlignmentData,
                       cfg: ProgressiveConfig, seed: int,
-                      log_fn=None) -> Iterator[tuple[FrozenAssignments, StepStats]]:
-    """Run steps 1..num_steps, yielding each step's assignments and stats.
+                      log_fn=None) -> Iterator[tuple[CodeIndex, StepStats]]:
+    """Run steps 1..num_steps from a depth-0 index holding every item under
+    ``()``, yielding each step's assignment index and stats.
 
     Step t samples from its own generator seeded with (seed, 2000 + t), so
     a step's draws do not depend on how many the earlier steps made. The
     caller can save each step's checkpoint and assignments between yields.
     """
-    frozen: FrozenAssignments | None = None
+    frozen = CodeIndex(num_steps=0, codebook_size=model.config.codebook_size)
+    for iid in data.item_ids:
+        frozen.insert(iid, ())
     for step in range(1, cfg.num_steps + 1):
         rng = np.random.default_rng([seed, 2000 + step])
-        frozen_t, stats = train_code_step(model, optimizer, data, frozen, step,
-                                          cfg, rng, log_fn=log_fn)
-        if frozen is not None:
-            for iid, sid in frozen_t.ids.items():
-                if sid[: step - 1] != frozen.ids[iid]:
-                    raise AssertionError(f"freeze invariant violated for {iid!r}")
-        yield frozen_t, stats
-        frozen = frozen_t
+        assigned, stats = train_code_step(model, optimizer, data, frozen, cfg, rng,
+                                          log_fn=log_fn)
+        for iid, sid in assigned.by_item.items():
+            if sid[:-1] != frozen.by_item[iid]:
+                raise AssertionError(f"freeze invariant violated for {iid!r}")
+        yield assigned, stats
+        frozen = assigned

@@ -22,7 +22,7 @@ from semidx.autodiff import Optimizer
 from semidx.cli import main
 from semidx.config import ProgressiveConfig
 from semidx.data import Corpus, build_vocab, synth_corpus
-from semidx.index import beam_search_decode
+from semidx.index import CodeIndex, beam_search_decode
 from semidx.metrics import (RankedList, ami, contingency_table,
                             expected_mutual_information, mutual_information,
                             mrr_at_k, recall_at_k)
@@ -91,7 +91,10 @@ class TestCriterion1GradientFidelity:
 
         adata = AlignmentData.from_corpus(corpus, vocab, cfg.max_text_len)
         entries = build_epoch_entries(adata, 1, np.random.default_rng(2))[:4]
-        batch = build_prefix_batches(None, entries, 1, group_size=4, batch_size=8,
+        root = CodeIndex(num_steps=0, codebook_size=cfg.codebook_size)
+        for iid in adata.item_ids:
+            root.insert(iid, ())
+        batch = build_prefix_batches(root, entries, group_size=4, batch_size=8,
                                      rng=np.random.default_rng(3))[0]
         rep = grad_check(lambda: contrastive_term(batch_forward(batch, model, adata)),
                          model.parameters(), eps=1e-5, sample_per_param=3,
@@ -210,17 +213,17 @@ class TestCriterion4ProgressiveInvariants:
         tcfg = ProgressiveConfig(num_steps=3, codebook_size=6, warmup_batches=3,
                                  group_size=4, batch_size=32, queries_per_item=2,
                                  epochs_per_step=1, lr=1e-3)
-        per_step = {frozen.step: frozen
-                    for frozen, _ in progressive_train(model, optimizer, data, tcfg, seed=72)}
+        per_step = {assigned.num_steps: assigned
+                    for assigned, _ in progressive_train(model, optimizer, data, tcfg, seed=72)}
 
         freeze_ok = True
         for step in (2, 3):
-            for iid, sid in per_step[step].ids.items():
-                freeze_ok = freeze_ok and sid[: step - 1] == per_step[step - 1].ids[iid]
+            for iid, sid in per_step[step].by_item.items():
+                freeze_ok = freeze_ok and sid[: step - 1] == per_step[step - 1].by_item[iid]
 
         rng = np.random.default_rng(73)
         entries = build_epoch_entries(data, 2, rng)
-        batches = build_prefix_batches(per_step[2], entries, 3, tcfg.group_size,
+        batches = build_prefix_batches(per_step[2], entries, tcfg.group_size,
                                        tcfg.batch_size, rng)
         prefix_ok = True
         for b in batches:

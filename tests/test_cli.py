@@ -3,6 +3,7 @@ validation between pipeline stages."""
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,8 @@ from semidx import cli
 from semidx.autodiff import Optimizer
 from semidx.cli import main
 from semidx.config import ConfigError, from_dict, load_config
-from semidx.model import load_checkpoint, save_checkpoint
+from semidx.index import CodeIndex
+from semidx.model import checkpoint_hash, load_checkpoint, save_checkpoint
 
 
 def mini_config(out_dir, **overrides) -> dict:
@@ -229,9 +231,13 @@ class TestExitCodes:
         assert cfg.train.gamma == 1 and cfg.train.lr == 1
 
     def test_console_entry_point(self, tmp_path):
+        # the child imports semidx from where this process did, installed or not
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run([sys.executable, "-m", "semidx.cli", "synth",
                                  "--out", str(tmp_path / "run")],
-                                capture_output=True, text=True)
+                                capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=path))
         assert result.returncode == 0
 
 
@@ -260,17 +266,21 @@ class TestPipelineArtifacts:
         cfg_path = write_config(tmp_path, mini_config(out))
         for command in ("synth", "pretrain", "train"):
             assert main([command, "--config", str(cfg_path)]) == 0
-        payload = json.loads((out / "assignments_step1.json").read_text())
-        step_hash = hashlib.sha256((out / "model_step1.ckpt").read_bytes()).hexdigest()
-        assert payload["checkpoint_hash"] == step_hash
+        for step in (1, 2):
+            step_hash = hashlib.sha256((out / f"model_step{step}.ckpt").read_bytes()).hexdigest()
+            assigned = CodeIndex.load(out / f"assignments_step{step}.json",
+                                      expected_checkpoint_hash=step_hash)
+            assert assigned.num_steps == step and assigned.checkpoint_hash == step_hash
 
     def test_freeze_invariant_across_persisted_steps(self, tmp_path):
         out = tmp_path / "run"
         cfg_path = write_config(tmp_path, mini_config(out))
         for command in ("synth", "pretrain", "train"):
             assert main([command, "--config", str(cfg_path)]) == 0
-        a1 = json.loads((out / "assignments_step1.json").read_text())["ids"]
-        a2 = json.loads((out / "assignments_step2.json").read_text())["ids"]
+        a1, a2 = (CodeIndex.load(out / f"assignments_step{step}.json",
+                                 expected_checkpoint_hash=checkpoint_hash(
+                                     out / f"model_step{step}.ckpt")).by_item
+                  for step in (1, 2))
         assert set(a1) == set(a2)
         for iid, sid in a2.items():
             assert sid[:1] == a1[iid]
@@ -322,6 +332,26 @@ class TestPipelineArtifacts:
         assert (after.optimizer_state["step_count"]
                 == before.optimizer_state["step_count"])
         assert after.extra["epochs_completed"] == before.extra["epochs_completed"] == 4
+
+    @pytest.mark.parametrize("epochs_completed", [[1], True, "2", -1],
+                             ids=["list", "bool", "string", "negative"])
+    def test_pretrain_resume_rejects_bad_epochs_completed(self, tmp_path, capsys,
+                                                          epochs_completed):
+        """A resume checkpoint whose epoch count is not a non-negative integer
+        is refused as corrupt, before any epoch runs."""
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path, mini_config(out))
+        assert main(["synth", "--config", str(cfg_path)]) == 0
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, load_checkpoint(out / "pretrain.ckpt").model,
+                        extra={"epochs_completed": epochs_completed})
+        (out / "pretrain_log.jsonl").unlink()
+        capsys.readouterr()
+        assert main(["pretrain", "--config", str(cfg_path), "--from", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "truncated or corrupt checkpoint (epochs_completed" in err
+        assert not (out / "pretrain_log.jsonl").exists()
 
     def test_code_usage_entropy_logged_positive(self, tmp_path):
         out = tmp_path / "run"

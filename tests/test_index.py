@@ -102,8 +102,23 @@ class TestCodeIndex:
         (json.dumps(dict(INDEX_HEADER, assignments=[[[0], "a"], ["0", "b"]])), "row 1 is not"),
         (json.dumps(dict(INDEX_HEADER, assignments=[[[0.5], "a"]])), "row 0 is not"),
         (json.dumps(dict(INDEX_HEADER, assignments=[[[0], 3]])), "row 0 is not"),
+        (json.dumps(dict(INDEX_HEADER, assignments=[[[True], "a"]])), "row 0 is not"),
+        (json.dumps(dict(INDEX_HEADER, num_steps=2, assignments=[[[0], "a"]])),
+         "row 0 has 1 codes, not 2"),
+        (json.dumps(dict(INDEX_HEADER, num_steps=[2], assignments=[])), "num_steps is not"),
+        (json.dumps(dict(INDEX_HEADER, num_steps=2.7, assignments=[])), "num_steps is not"),
+        (json.dumps(dict(INDEX_HEADER, num_steps=0, assignments=[])), "num_steps is not"),
+        (json.dumps(dict(INDEX_HEADER, codebook_size=True, assignments=[])),
+         "codebook_size is not"),
+        (json.dumps(dict(INDEX_HEADER, codebook_size=1, assignments=[])),
+         "codebook_size is not"),
+        (json.dumps(dict(INDEX_HEADER, item_count="1", assignments=[])), "item_count is not"),
+        (json.dumps(dict(INDEX_HEADER, checkpoint_hash=7, assignments=[])),
+         "checkpoint_hash is not"),
     ], ids=["truncated", "not-object", "no-keys", "rows-not-list", "three-element-row",
-            "id-not-list", "float-code", "item-not-string"])
+            "id-not-list", "float-code", "item-not-string", "bool-code", "short-id",
+            "depth-list", "depth-float", "depth-zero", "codebook-bool", "codebook-one",
+            "count-string", "hash-not-string"])
     def test_corrupt_file_rejected(self, tmp_path, text, reason):
         path = tmp_path / "index.json"
         path.write_text(text)

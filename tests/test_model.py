@@ -16,7 +16,6 @@ from semidx.index import CodeIndex, greedy_decode_rows
 from semidx.model import (LAPLACE_EPS, Codebook, ModelConfig, TransformerModel,
                           checkpoint_hash, load_checkpoint, pad_rows,
                           save_checkpoint)
-from semidx.training import FrozenAssignments
 
 from oracles import decode_step, encode, row_identity_error
 
@@ -468,8 +467,7 @@ class TestCheckpoint:
                                match=f"unsupported checkpoint format version {version}"):
                 load_checkpoint(path)
 
-    @pytest.mark.parametrize("writer", ["checkpoint", "index", "assignments", "vocab",
-                                        "config"])
+    @pytest.mark.parametrize("writer", ["checkpoint", "index", "vocab", "config"])
     def test_failed_write_keeps_previous_file(self, writer, tiny_model, tmp_path,
                                               monkeypatch):
         def save(path, version):
@@ -477,8 +475,6 @@ class TestCheckpoint:
                 save_checkpoint(path, tiny_model, extra={"version": version})
             elif writer == "index":
                 CodeIndex(num_steps=2, codebook_size=3, checkpoint_hash=version).save(path)
-            elif writer == "assignments":
-                FrozenAssignments(step=1, ids={"a": (0,)}, checkpoint_hash=version).save(path)
             elif writer == "vocab":
                 Vocab(tokens=list(RESERVED_TOKENS) + [version]).save(path)
             else:

@@ -8,9 +8,9 @@ from semidx import autodiff as ad
 from semidx.autodiff import Optimizer, Tensor
 from semidx.config import ProgressiveConfig
 from semidx.data import Corpus, build_vocab, synth_corpus
+from semidx.index import CodeIndex
 from semidx.model import Codebook, ModelConfig, TransformerModel
-from semidx.training import (AlignmentData, BatchForward, FrozenAssignments,
-                             PairEntry, SampleGroup, TrainPairBatch,
+from semidx.training import (AlignmentData, BatchForward, PairEntry, SampleGroup, TrainPairBatch,
                              batch_forward,
                              build_epoch_entries, build_prefix_batches,
                              commitment_loss, commitment_targets, contrastive_term,
@@ -49,6 +49,19 @@ def make_model(vocab, **overrides):
     return model
 
 
+def frozen_index(ids: dict, codebook_size: int = 8) -> CodeIndex:
+    """The index progressive training freezes: every item's ID at one depth."""
+    idx = CodeIndex(num_steps=len(next(iter(ids.values()))), codebook_size=codebook_size)
+    for iid, sid in ids.items():
+        idx.insert(iid, sid)
+    return idx
+
+
+def root_index(data) -> CodeIndex:
+    """The depth-0 index progressive training starts from."""
+    return frozen_index({iid: () for iid in data.item_ids}, codebook_size=4)
+
+
 def make_batch(data, item_ids, step=1, prefixes=None, m=1, rng_seed=0):
     rng = np.random.default_rng(rng_seed)
     entries = []
@@ -79,8 +92,9 @@ class TestMultiQuerySample:
 class TestBuildPrefixBatches:
     def test_step_one_single_class(self):
         entries = [PairEntry([1], f"i{n}") for n in range(10)]
-        batches = build_prefix_batches(None, entries, step=1, group_size=4,
-                                       batch_size=8, rng=np.random.default_rng(3))
+        frozen = frozen_index({f"i{n}": () for n in range(10)})
+        batches = build_prefix_batches(frozen, entries, group_size=4, batch_size=8,
+                                       rng=np.random.default_rng(3))
         assert sum(b.size for b in batches) == 10
         for b in batches:
             b.check_prefix_property()
@@ -89,10 +103,10 @@ class TestBuildPrefixBatches:
 
     def test_enumeration_example(self):
         """prefixes [(5,), (5,), (7,)] -> one group of 2, one residual of 1."""
-        frozen = FrozenAssignments(step=1, ids={"a": (5,), "b": (5,), "c": (7,)})
+        frozen = frozen_index({"a": (5,), "b": (5,), "c": (7,)})
         entries = [PairEntry([1], iid) for iid in ("a", "b", "c")]
-        batches = build_prefix_batches(frozen, entries, step=2, group_size=8,
-                                       batch_size=64, rng=np.random.default_rng(4))
+        batches = build_prefix_batches(frozen, entries, group_size=8, batch_size=64,
+                                       rng=np.random.default_rng(4))
         groups = [g for b in batches for g in b.groups]
         regular = [g for g in groups if not g.residual]
         residual = [g for g in groups if g.residual]
@@ -104,10 +118,9 @@ class TestBuildPrefixBatches:
     def test_groups_share_identical_prefix(self):
         rng = np.random.default_rng(5)
         ids = {f"i{n}": (int(rng.integers(3)),) for n in range(60)}
-        frozen = FrozenAssignments(step=1, ids=ids)
+        frozen = frozen_index(ids)
         entries = [PairEntry([1], f"i{n}") for n in range(60) for _ in range(2)]
-        batches = build_prefix_batches(frozen, entries, step=2, group_size=4,
-                                       batch_size=16, rng=rng)
+        batches = build_prefix_batches(frozen, entries, group_size=4, batch_size=16, rng=rng)
         assert sum(b.size for b in batches) == 120
         for b in batches:
             b.check_prefix_property()
@@ -116,11 +129,11 @@ class TestBuildPrefixBatches:
                     assert all(e.prefix == g.prefix for e in g.entries)
 
     def test_missing_assignment_is_hard_error(self):
-        frozen = FrozenAssignments(step=1, ids={"a": (0,)})
+        frozen = frozen_index({"a": (0,)})
         entries = [PairEntry([1], "ghost")]
         with pytest.raises(KeyError):
-            build_prefix_batches(frozen, entries, step=2, group_size=4,
-                                 batch_size=8, rng=np.random.default_rng(0))
+            build_prefix_batches(frozen, entries, group_size=4, batch_size=8,
+                                 rng=np.random.default_rng(0))
 
 
 class TestContrastiveTerm:
@@ -323,21 +336,27 @@ class TestTrainCodeStep:
         optimizer = Optimizer(model.parameters(), lr=1e-3)
         data = AlignmentData.from_corpus(corpus, vocab, 16)
         cfg = self._cfg()
-        per_step = {frozen.step: frozen
-                    for frozen, _ in progressive_train(model, optimizer, data, cfg, seed=9)}
+        per_step = {assigned.num_steps: assigned
+                    for assigned, _ in progressive_train(model, optimizer, data, cfg, seed=9)}
         assert set(per_step) == {1, 2}
-        for iid, sid in per_step[2].ids.items():
+        for iid, sid in per_step[2].by_item.items():
             assert len(sid) == 2
-            assert sid[:1] == per_step[1].ids[iid]
+            assert sid[:1] == per_step[1].by_item[iid]
         assert model.trained_steps == 2
 
     def test_step_requires_previous_assignments(self, corpus, vocab):
+        """A frozen index that lacks one of the items fails before any update."""
         model = make_model(vocab)
         optimizer = Optimizer(model.parameters(), lr=1e-3)
         data = AlignmentData.from_corpus(corpus, vocab, 16)
-        with pytest.raises(ValueError):
-            train_code_step(model, optimizer, data, None, 2, self._cfg(),
+        frozen = frozen_index({iid: (0,) for iid in data.item_ids[1:]}, codebook_size=4)
+        before = {k: p.data.copy() for k, p in model.params.items()}
+        with pytest.raises(KeyError):
+            train_code_step(model, optimizer, data, frozen, self._cfg(),
                             np.random.default_rng(0))
+        assert optimizer.step_count == 0
+        for k, p in model.params.items():
+            assert np.array_equal(p.data, before[k])
 
     def test_ema_statistics_move_during_training(self, corpus, vocab):
         model = make_model(vocab)
@@ -345,7 +364,7 @@ class TestTrainCodeStep:
         data = AlignmentData.from_corpus(corpus, vocab, 16)
         cfg = self._cfg(warmup_batches=0)
         before = model.codebooks[0].ema_counts.copy()
-        train_code_step(model, optimizer, data, None, 1, cfg, np.random.default_rng(1))
+        train_code_step(model, optimizer, data, root_index(data), cfg, np.random.default_rng(1))
         assert not np.allclose(model.codebooks[0].ema_counts, before)
         assert row_identity_error(model.codebooks[0]) < 1e-9
 
@@ -355,7 +374,7 @@ class TestTrainCodeStep:
         data = AlignmentData.from_corpus(corpus, vocab, 16)
         cfg = self._cfg(warmup_batches=10_000)  # everything stays in phase A
         before = model.codebooks[0].ema_counts.copy()
-        _, stats = train_code_step(model, optimizer, data, None, 1, cfg,
+        _, stats = train_code_step(model, optimizer, data, root_index(data), cfg,
                                    np.random.default_rng(2))
         assert np.array_equal(model.codebooks[0].ema_counts, before)
         assert stats.warmup_batches == stats.batches
@@ -369,7 +388,7 @@ class TestTrainCodeStep:
         monkeypatch.setattr(tr, "contrastive_term",
                             lambda *a, **k: Tensor(np.nan))
         with pytest.raises(tr.TrainingDiverged):
-            train_code_step(model, optimizer, data, None, 1, self._cfg(),
+            train_code_step(model, optimizer, data, root_index(data), self._cfg(),
                             np.random.default_rng(4))
         for k, p in model.params.items():
             assert np.array_equal(p.data, before[k])
