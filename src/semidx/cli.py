@@ -27,8 +27,8 @@ from semidx.config import (ConfigError, RunConfig, config_hash, dump_config,
 from semidx.data import (Corpus, Vocab, build_vocab, load_corpus, split_pairs,
                          synth_corpus, write_items, write_pairs)
 from semidx.metrics import RankedList
-from semidx.model import (TransformerModel, atomic_writer, checkpoint_hash,
-                          load_checkpoint, pad_rows, save_checkpoint)
+from semidx.model import (CheckpointBundle, TransformerModel, atomic_writer,
+                          checkpoint_hash, load_checkpoint, pad_rows, save_checkpoint)
 from semidx.pretrain import PretrainData, run_pretraining
 from semidx.training import AlignmentData, progressive_train
 
@@ -81,9 +81,14 @@ def _load_train_corpus(cfg: RunConfig) -> Corpus:
     return corpus
 
 
-def _load_vocab(cfg: RunConfig) -> Vocab:
-    path = _require(Path(cfg.out_dir) / "vocab.json", "vocabulary file")
-    return Vocab.load(path)
+def _load_checkpoint(cfg: RunConfig, path: Path, hint: str) -> tuple[CheckpointBundle, Vocab]:
+    """A checkpoint and the run's ``vocab.json``, refused unless the
+    checkpoint was built on that vocabulary."""
+    bundle = load_checkpoint(_require(path, hint))
+    vocab = Vocab.load(_require(Path(cfg.out_dir) / "vocab.json", "vocabulary file"))
+    if vocab.content_hash() != bundle.model.vocab_hash:
+        raise ConfigError(f"{path}: vocabulary hash does not match vocab.json")
+    return bundle, vocab
 
 
 def _jsonl_logger(path: Path):
@@ -127,11 +132,8 @@ def cmd_pretrain(cfg: RunConfig, resume_from: str | None = None) -> int:
 
     start_epoch, optimizer_state = 0, None
     if resume_from:
-        bundle = load_checkpoint(_require(Path(resume_from), "checkpoint to resume from"))
+        bundle, vocab = _load_checkpoint(cfg, Path(resume_from), "checkpoint to resume from")
         model = bundle.model
-        vocab = _load_vocab(cfg)
-        if vocab.content_hash() != model.vocab_hash:
-            raise ConfigError("vocabulary hash does not match the resume checkpoint")
         start_epoch = bundle.extra.get("epochs_completed", 0)
         if type(start_epoch) is not int or start_epoch < 0:
             raise ValueError(f"{resume_from}: truncated or corrupt checkpoint "
@@ -172,11 +174,8 @@ def cmd_train(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
     corpus = _load_train_corpus(cfg)
     out = Path(cfg.out_dir)
     ckpt_path = Path(from_checkpoint) if from_checkpoint else out / "pretrain.ckpt"
-    bundle = load_checkpoint(_require(ckpt_path, "pre-trained checkpoint"))
+    bundle, vocab = _load_checkpoint(cfg, ckpt_path, "pre-trained checkpoint")
     model = bundle.model
-    vocab = _load_vocab(cfg)
-    if vocab.content_hash() != model.vocab_hash:
-        raise ConfigError("vocabulary hash does not match the checkpoint")
 
     tcfg = cfg.train
     if tcfg.num_steps > model.config.num_steps:
@@ -214,10 +213,7 @@ def cmd_train(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
 def _load_model_for_inference(cfg: RunConfig, from_checkpoint: str | None):
     out = Path(cfg.out_dir)
     ckpt_path = Path(from_checkpoint) if from_checkpoint else out / "model.ckpt"
-    bundle = load_checkpoint(_require(ckpt_path, "trained model checkpoint"))
-    vocab = _load_vocab(cfg)
-    if vocab.content_hash() != bundle.model.vocab_hash:
-        raise ConfigError("vocabulary hash does not match the checkpoint")
+    bundle, vocab = _load_checkpoint(cfg, ckpt_path, "trained model checkpoint")
     return bundle.model, vocab, ckpt_path
 
 
@@ -374,8 +370,9 @@ def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
     inputs = {"model": ckpt_path, "index": idx_path, **query_inputs,
               **{f"runs_{mode}": path for mode, path in run_paths.items()}}
     if cfg.eval.kmeans_baseline:
-        pre_path = _require(out / "pretrain.ckpt", "pre-trained checkpoint for the baseline")
-        pre_model = load_checkpoint(pre_path).model
+        pre_path = out / "pretrain.ckpt"
+        bundle, _ = _load_checkpoint(cfg, pre_path, "pre-trained checkpoint for the baseline")
+        pre_model = bundle.model
         tokenized = {iid: vocab.encode(it.text, pre_model.config.max_text_len)
                      for iid, it in sorted(corpus.items.items())}
         ids = list(tokenized)

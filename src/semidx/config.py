@@ -155,9 +155,14 @@ def from_dict(payload: dict) -> RunConfig:
     # the decay train_code_step passes to Codebook.ema_update, which does not check it
     if not 0 < cfg.train.gamma <= 1:
         raise ConfigError(f"train.gamma must lie in (0, 1], not {cfg.train.gamma!r}")
-    for key in ("beam_width", "retrieve_cutoff"):
+    for key in ("beam_width", "retrieve_cutoff", "mrr_k", "dense_k"):
         if getattr(cfg.eval, key) < 1:
             raise ConfigError(f"eval.{key} must be >= 1, not {getattr(cfg.eval, key)!r}")
+    if not cfg.eval.recall_ks:
+        raise ConfigError("eval.recall_ks must not be empty")
+    for key in ("recall_ks", "consistency_levels"):
+        if any(v < 1 for v in getattr(cfg.eval, key)):
+            raise ConfigError(f"eval.{key} entries must be >= 1, not {getattr(cfg.eval, key)!r}")
     default = RunConfig().model
     for key, source in _DERIVED_MODEL_KEYS.items():
         if getattr(cfg.model, key) != getattr(default, key):

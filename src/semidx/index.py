@@ -128,23 +128,29 @@ class CodeIndex:
                 raise corrupt(f"assignment row {i} is not [list of ints, str]")
             if len(row[0]) != depth:
                 raise corrupt(f"assignment row {i} has {len(row[0])} codes, not {depth}")
-            idx.insert(row[1], tuple(row[0]))
+            try:
+                idx.insert(row[1], tuple(row[0]))
+            except ValueError as exc:
+                raise corrupt(f"assignment row {i}: {exc}") from exc
         if len(idx) != payload["item_count"]:
-            raise ValueError("index item count mismatch")
+            raise corrupt(f"item_count is {payload['item_count']}, the rows hold {len(idx)}")
         idx.validate()
         return idx
 
 
 def greedy_decode_rows(model: TransformerModel, token_rows: list[list[int]], depth: int,
+                       prefix: np.ndarray | None = None,
                        chunk: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """Greedy codes (N, depth) and final-step states (N, D) for token rows,
-    padded and decoded ``chunk`` rows at a time."""
+    padded and decoded ``chunk`` rows at a time, each row continuing its
+    row of the (N, P) code ``prefix`` when one is given."""
     codes = np.zeros((len(token_rows), depth), dtype=np.int64)
     finals = np.zeros((len(token_rows), model.config.hidden_size))
     for start in range(0, len(token_rows), chunk):
         tok, mask = pad_rows(token_rows[start:start + chunk])
         rows = slice(start, start + len(tok))
-        codes[rows], finals[rows] = model.greedy_decode_batch(tok, mask, depth)
+        codes[rows], finals[rows] = model.greedy_decode_batch(
+            tok, mask, depth, None if prefix is None else prefix[rows])
     return codes, finals
 
 

@@ -349,23 +349,26 @@ class TransformerModel:
         if depth > self.trained_steps:
             raise ValueError(f"depth {depth} exceeds trained steps ({self.trained_steps})")
 
-    def greedy_decode_batch(self, tokens: np.ndarray, mask: np.ndarray,
-                            depth: int) -> tuple[np.ndarray, np.ndarray]:
-        """Greedy code assignment for a padded batch.
+    def greedy_decode_batch(self, tokens: np.ndarray, mask: np.ndarray, depth: int,
+                            prefix: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Greedy code assignment for a padded batch, continuing the (B, P)
+        code ``prefix`` (none by default) up to ``depth``.
 
         Returns (codes (B, depth) int, d_depth (B, D) float): the assigned
-        semantic IDs and the pre-quantization state at the final step.
+        semantic IDs, prefix included, and the pre-quantization state at the
+        final step.
         """
         self._check_depth(depth)
-        memory = self.encode_batch(tokens, mask)
         B = tokens.shape[0]
-        codes = np.zeros((B, 0), dtype=np.int64)
-        final = None
-        for t in range(1, depth + 1):
+        codes = np.zeros((B, 0), dtype=np.int64) if prefix is None \
+            else np.asarray(prefix, dtype=np.int64)
+        if codes.shape[1] >= depth:
+            raise ValueError(f"a {codes.shape[1]}-code prefix leaves nothing to decode")
+        memory = self.encode_batch(tokens, mask)
+        for t in range(codes.shape[1] + 1, depth + 1):
             states = self.decode_code_states(memory, mask, codes)
-            d_t = states.data[:, t - 1, :]
-            final = d_t
-            assigned = self.codebooks[t - 1].assign(d_t)
+            final = states.data[:, t - 1, :]
+            assigned = self.codebooks[t - 1].assign(final)
             codes = np.concatenate([codes, assigned[:, None]], axis=1)
         return codes, final
 

@@ -27,7 +27,7 @@ from semidx import autodiff as ad
 from semidx.autodiff import Tensor
 from semidx.config import ProgressiveConfig
 from semidx.data import Corpus, Vocab
-from semidx.index import CodeIndex
+from semidx.index import CodeIndex, greedy_decode_rows
 from semidx.model import Codebook, SemanticId, TransformerModel, pad_rows
 
 logger = logging.getLogger(__name__)
@@ -47,34 +47,18 @@ class TrainingDiverged(RuntimeError):
 class PairEntry:
     query_tokens: list[int]
     item_id: str
-    prefix: SemanticId = ()
-
-
-@dataclass
-class SampleGroup:
-    prefix: SemanticId
-    entries: list[PairEntry]
-    residual: bool = False
 
 
 @dataclass
 class TrainPairBatch:
-    groups: list[SampleGroup]
-    step: int
+    groups: list[list[PairEntry]]
 
     @property
     def size(self) -> int:
-        return sum(len(g.entries) for g in self.groups)
+        return sum(len(g) for g in self.groups)
 
     def entries(self) -> list[PairEntry]:
-        return [e for g in self.groups for e in g.entries]
-
-    def check_prefix_property(self) -> None:
-        for g in self.groups:
-            if len(g.prefix) != self.step - 1 and not g.residual:
-                raise ValueError("group prefix length does not match the training step")
-            if not g.residual and any(e.prefix != g.prefix for e in g.entries):
-                raise ValueError("group members do not share an identical prefix")
+        return [e for g in self.groups for e in g]
 
 
 @dataclass
@@ -131,15 +115,13 @@ def build_prefix_batches(frozen: CodeIndex, entries: list[PairEntry], group_size
 
     Whole groups are concatenated until the batch reaches ``batch_size``.
     Prefix classes (or chunk leftovers) with a single entry are pooled into
-    residual groups, which carry mixed prefixes and are flagged as such.
+    residual groups, whose members have pairwise-distinct prefixes.
     """
-    step = frozen.num_steps + 1
     buckets: dict[SemanticId, list[PairEntry]] = {}
     for e in entries:
-        e.prefix = frozen.by_item[e.item_id]
-        buckets.setdefault(e.prefix, []).append(e)
+        buckets.setdefault(frozen.by_item[e.item_id], []).append(e)
 
-    groups: list[SampleGroup] = []
+    groups: list[list[PairEntry]] = []
     residual_pool: list[PairEntry] = []
     for prefix in sorted(buckets):
         members = buckets[prefix]
@@ -148,26 +130,25 @@ def build_prefix_batches(frozen: CodeIndex, entries: list[PairEntry], group_size
         for start in range(0, len(members), group_size):
             chunk = members[start:start + group_size]
             if len(chunk) >= 2:
-                groups.append(SampleGroup(prefix=prefix, entries=chunk))
+                groups.append(chunk)
             else:
                 residual_pool.extend(chunk)
     for start in range(0, len(residual_pool), group_size):
-        chunk = residual_pool[start:start + group_size]
-        groups.append(SampleGroup(prefix=chunk[0].prefix, entries=chunk, residual=True))
+        groups.append(residual_pool[start:start + group_size])
 
     order = rng.permutation(len(groups))
     groups = [groups[int(i)] for i in order]
     batches: list[TrainPairBatch] = []
-    current: list[SampleGroup] = []
+    current: list[list[PairEntry]] = []
     current_size = 0
     for g in groups:
-        if current and current_size + len(g.entries) > batch_size:
-            batches.append(TrainPairBatch(groups=current, step=step))
+        if current and current_size + len(g) > batch_size:
+            batches.append(TrainPairBatch(groups=current))
             current, current_size = [], 0
         current.append(g)
-        current_size += len(g.entries)
+        current_size += len(g)
     if current:
-        batches.append(TrainPairBatch(groups=current, step=step))
+        batches.append(TrainPairBatch(groups=current))
     return batches
 
 
@@ -183,47 +164,35 @@ class BatchForward:
     per-step distributions are compared at the same node of the code tree.
     """
 
-    step: int
-    entry_item_idx: np.ndarray        # (B,) index into unique item arrays
-    unique_item_ids: list[str]
-    unique_prefix: np.ndarray         # (U, T-1)
+    entry_item_idx: np.ndarray        # (B,) index into the unique items
+    unique_prefix: np.ndarray         # (U, T-1) their frozen prefixes
     q_states: Tensor                  # (B, T, D)
     d_states: Tensor                  # (U, T, D)
-    q_final: Tensor                   # (B, D)
-    d_final_unique: Tensor            # (U, D)
-    d_final_entries: Tensor           # (B, D)
+
+    @property
+    def step(self) -> int:
+        return self.q_states.shape[1]
 
 
 def batch_forward(batch: TrainPairBatch, model: TransformerModel,
-                  data: AlignmentData) -> BatchForward:
+                  data: AlignmentData, frozen: CodeIndex) -> BatchForward:
+    """Decoder states of the batch's queries and unique items, each query on
+    its item's prefix in ``frozen``, for the step after its depth."""
     entries = batch.entries()
-    T = batch.step
     uniq: dict[str, int] = {}
     for e in entries:
         uniq.setdefault(e.item_id, len(uniq))
     entry_item_idx = np.array([uniq[e.item_id] for e in entries], dtype=np.int64)
-    unique_ids = list(uniq)
-    prefix_by_item = {e.item_id: e.prefix for e in entries}
+    d_prefix = np.array([frozen.by_item[iid] for iid in uniq], dtype=np.int64)
 
     q_tok, q_mask = pad_rows([e.query_tokens for e in entries])
-    d_tok, d_mask = pad_rows([data.item_tokens[iid] for iid in unique_ids])
-    q_prefix = np.array([list(e.prefix) for e in entries], dtype=np.int64).reshape(len(entries), T - 1)
-    d_prefix = np.array([list(prefix_by_item[iid]) for iid in unique_ids],
-                        dtype=np.int64).reshape(len(unique_ids), T - 1)
-
+    d_tok, d_mask = pad_rows([data.item_tokens[iid] for iid in uniq])
     q_memory = model.encode_batch(q_tok, q_mask)
     d_memory = model.encode_batch(d_tok, d_mask)
-    q_states = model.decode_code_states(q_memory, q_mask, q_prefix)
+    q_states = model.decode_code_states(q_memory, q_mask, d_prefix[entry_item_idx])
     d_states = model.decode_code_states(d_memory, d_mask, d_prefix)
-
-    q_final = q_states[:, T - 1, :]
-    d_final_unique = d_states[:, T - 1, :]
-    d_final_entries = ad.embedding(d_final_unique, entry_item_idx)
-    return BatchForward(step=T, entry_item_idx=entry_item_idx,
-                        unique_item_ids=unique_ids, unique_prefix=d_prefix,
-                        q_states=q_states, d_states=d_states,
-                        q_final=q_final, d_final_unique=d_final_unique,
-                        d_final_entries=d_final_entries)
+    return BatchForward(entry_item_idx=entry_item_idx, unique_prefix=d_prefix,
+                        q_states=q_states, d_states=d_states)
 
 
 def contrastive_term(fwd: BatchForward) -> Tensor:
@@ -232,10 +201,12 @@ def contrastive_term(fwd: BatchForward) -> Tensor:
     Entries sharing the anchor's item id are removed from the denominator
     (the positive itself always stays).
     """
-    B = fwd.q_final.shape[0]
+    B = fwd.q_states.shape[0]
     if B == 1:
         warnings.warn("contrastive term over a single pair is identically 0")
-    scores = ad.matmul(fwd.q_final, ad.transpose(fwd.d_final_entries, (1, 0)))
+    q_final = fwd.q_states[:, -1, :]
+    d_final = ad.embedding(fwd.d_states[:, -1, :], fwd.entry_item_idx)
+    scores = ad.matmul(q_final, ad.transpose(d_final, (1, 0)))
     same = fwd.entry_item_idx[:, None] == fwd.entry_item_idx[None, :]
     bias = np.where(same & ~np.eye(B, dtype=bool), -1e9, 0.0)
     log_probs = ad.log_softmax(ad.add(scores, bias), axis=-1)
@@ -246,7 +217,7 @@ def contrastive_term(fwd: BatchForward) -> Tensor:
 def kl_term(fwd: BatchForward, model: TransformerModel) -> Tensor:
     """Sum over steps t=1..T of KL(query code dist || item code dist);
     gradients reach both sides."""
-    B = fwd.q_final.shape[0]
+    B = fwd.q_states.shape[0]
     total = None
     for t in range(1, fwd.step + 1):
         cb = model.codebooks[t - 1]
@@ -260,8 +231,7 @@ def kl_term(fwd: BatchForward, model: TransformerModel) -> Tensor:
 
 def commitment_targets(fwd: BatchForward, model: TransformerModel) -> np.ndarray:
     """(U, T) target codes: frozen prefix for t < T, current argmax at t = T."""
-    T = fwd.step
-    online = model.codebooks[T - 1].assign(fwd.d_final_unique.data)
+    online = model.codebooks[fwd.step - 1].assign(fwd.d_states.data[:, -1])
     return np.concatenate([fwd.unique_prefix, online[:, None]], axis=1)
 
 
@@ -272,7 +242,7 @@ def commitment_loss(fwd: BatchForward, model: TransformerModel,
     Gradients reach the encoder/decoder only; codebooks are constants in
     this graph and learn via EMA instead.
     """
-    U = len(fwd.unique_item_ids)
+    U = fwd.d_states.shape[0]
     total = None
     for t in range(1, fwd.step + 1):
         cb = model.codebooks[t - 1]
@@ -288,27 +258,20 @@ def commitment_loss(fwd: BatchForward, model: TransformerModel,
 
 def assign_step_codes(model: TransformerModel, data: AlignmentData,
                       frozen: CodeIndex) -> CodeIndex:
-    """The next-depth index: every item's frozen ID extended by its greedy
-    code for the next step, 256 items per pass; pure inference."""
-    step = frozen.num_steps + 1
-    out = CodeIndex(num_steps=step, codebook_size=frozen.codebook_size)
+    """The next-depth index: every item's frozen ID continued by one greedy
+    code; pure inference."""
     ids = data.item_ids
-    for start in range(0, len(ids), 256):
-        batch_ids = ids[start:start + 256]
-        tok, mask = pad_rows([data.item_tokens[i] for i in batch_ids])
-        prefixes = [frozen.by_item[i] for i in batch_ids]
-        prefix = np.array(prefixes, dtype=np.int64).reshape(len(batch_ids), step - 1)
-        memory = model.encode_batch(tok, mask)
-        states = model.decode_code_states(memory, mask, prefix)
-        codes = model.codebooks[step - 1].assign(states.data[:, step - 1, :])
-        for iid, sid, c in zip(batch_ids, prefixes, codes):
-            out.insert(iid, sid + (int(c),))
+    prefix = np.array([frozen.by_item[i] for i in ids], dtype=np.int64)
+    codes, _ = greedy_decode_rows(model, [data.item_tokens[i] for i in ids],
+                                  frozen.num_steps + 1, prefix)
+    out = CodeIndex(num_steps=frozen.num_steps + 1, codebook_size=frozen.codebook_size)
+    for iid, sid in zip(ids, codes):
+        out.insert(iid, tuple(sid))
     return out
 
 
 @dataclass
 class StepStats:
-    step: int
     batches: int = 0
     warmup_batches: int = 0
     code_usage_entropy: float = 0.0
@@ -336,7 +299,7 @@ def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
             setattr(cb, key, arr)
 
     snapshot = take_snapshot()
-    stats = StepStats(step=step)
+    stats = StepStats()
     donors: deque[np.ndarray] = deque(maxlen=DONOR_POOL_SIZE)
     batch_counter = 0
 
@@ -344,9 +307,8 @@ def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
         entries = build_epoch_entries(data, cfg.queries_per_item, rng)
         batches = build_prefix_batches(frozen, entries, cfg.group_size, cfg.batch_size, rng)
         for batch in batches:
-            batch.check_prefix_property()
             warmup = batch_counter < cfg.warmup_batches
-            fwd = batch_forward(batch, model, data)
+            fwd = batch_forward(batch, model, data, frozen)
             con = contrastive_term(fwd)
             if warmup:
                 loss = con
@@ -369,7 +331,7 @@ def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
 
             if not warmup:
                 # the step-T rows are unchanged since the targets were taken
-                d_vals = fwd.d_final_unique.data
+                d_vals = fwd.d_states.data[:, -1]
                 cb.ema_update(d_vals, targets[:, -1], cfg.gamma)
                 for row in d_vals:
                     donors.append(row.copy())
@@ -395,8 +357,8 @@ def train_code_step(model: TransformerModel, optimizer, data: AlignmentData,
                 cfg.dead_code_threshold, np.array(donors), rng)
         snapshot = take_snapshot()
 
-    assigned = assign_step_codes(model, data, frozen)
     model.trained_steps = max(model.trained_steps, step)
+    assigned = assign_step_codes(model, data, frozen)
     stats.code_usage_entropy = cb.usage_entropy()
     return assigned, stats
 

@@ -1,11 +1,13 @@
 """Test-only oracles: the finite-difference gradient checker, the codebook
-row identity and the B=1 encoder and decoder references. The pipeline never
+row identity, the B=1 encoder and decoder references and the prefix
+property of progressive-training batches. The pipeline never
 calls them, so they live with the tests; pytest's default import mode puts
 ``tests/`` on ``sys.path``, so a test imports them with
 ``from oracles import ...``."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -103,6 +105,22 @@ def row_identity_error(cb: Codebook) -> float:
     """Largest deviation of a codebook row from ema_sums / (ema_counts + eps)."""
     expected = cb.ema_sums / (cb.ema_counts[:, None] + LAPLACE_EPS)
     return float(np.max(np.abs(cb.embeddings - expected)))
+
+
+def prefix_property_holds(batches, frozen) -> bool:
+    """Every group of ``batches`` shares one prefix in ``frozen`` or, as a
+    residual group, holds pairwise-distinct prefixes, and each prefix class
+    leaves at most one entry to the residual groups."""
+    leftovers: Counter = Counter()
+    for batch in batches:
+        for group in batch.groups:
+            prefixes = [frozen.by_item[e.item_id] for e in group]
+            if len(prefixes) > 1 and len(set(prefixes)) == 1:
+                continue
+            if len(set(prefixes)) != len(prefixes):
+                return False
+            leftovers.update(prefixes)
+    return all(n <= 1 for n in leftovers.values())
 
 
 def encode(model: TransformerModel, tokens: Sequence[int]) -> Tensor:

@@ -34,7 +34,7 @@ from semidx.training import (AlignmentData, batch_forward,
                              commitment_loss, commitment_targets, contrastive_term,
                              kl_term, progressive_train)
 
-from oracles import decode_step, encode, grad_check, row_identity_error
+from oracles import decode_step, encode, grad_check, prefix_property_holds, row_identity_error
 
 
 def commitment(fwd, model):
@@ -96,15 +96,15 @@ class TestCriterion1GradientFidelity:
             root.insert(iid, ())
         batch = build_prefix_batches(root, entries, group_size=4, batch_size=8,
                                      rng=np.random.default_rng(3))[0]
-        rep = grad_check(lambda: contrastive_term(batch_forward(batch, model, adata)),
+        rep = grad_check(lambda: contrastive_term(batch_forward(batch, model, adata, root)),
                          model.parameters(), eps=1e-5, sample_per_param=3,
                          rng=np.random.default_rng(4))
         worst["alignment/contrastive"] = rep.max_rel_error
-        rep = grad_check(lambda: kl_term(batch_forward(batch, model, adata), model),
+        rep = grad_check(lambda: kl_term(batch_forward(batch, model, adata, root), model),
                          model.parameters(), eps=1e-5, sample_per_param=3,
                          rng=np.random.default_rng(5))
         worst["alignment/kl"] = rep.max_rel_error
-        rep = grad_check(lambda: commitment(batch_forward(batch, model, adata), model),
+        rep = grad_check(lambda: commitment(batch_forward(batch, model, adata, root), model),
                          model.parameters(), eps=1e-5, sample_per_param=3,
                          rng=np.random.default_rng(6))
         worst["commitment"] = rep.max_rel_error
@@ -225,15 +225,10 @@ class TestCriterion4ProgressiveInvariants:
         entries = build_epoch_entries(data, 2, rng)
         batches = build_prefix_batches(per_step[2], entries, tcfg.group_size,
                                        tcfg.batch_size, rng)
-        prefix_ok = True
-        for b in batches:
-            b.check_prefix_property()
-            for g in b.groups:
-                if not g.residual:
-                    prefix_ok = prefix_ok and all(e.prefix == g.prefix for e in g.entries)
+        prefix_ok = prefix_property_holds(batches, per_step[2])
 
         probe = batches[0]
-        fwd = batch_forward(probe, model, data)
+        fwd = batch_forward(probe, model, data, per_step[2])
         loss = ad.add(ad.add(contrastive_term(fwd), kl_term(fwd, model)),
                       commitment(fwd, model))
         before = [[getattr(cb, k).copy() for k in Codebook.STATE] for cb in model.codebooks]
@@ -391,8 +386,12 @@ class TestCriterion7RetrievalAnalogue:
 # ---------------------------------------------------------------------------
 
 class TestCriterion8Determinism:
-    ARTIFACTS = ("metrics.json", "assignments_step1.json", "assignments_step2.json",
-                 "index.json")
+    """Every file the pipeline writes under ``out/`` (corpus, vocabulary,
+    checkpoints, logs, assignments, index, runs, metrics and manifests)."""
+
+    @staticmethod
+    def artifacts(out) -> list[str]:
+        return sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
 
     def test_two_runs_hash_equal(self, tmp_path):
         out = tmp_path / "run"
@@ -416,9 +415,11 @@ class TestCriterion8Determinism:
             for command in ("synth", "pretrain", "train", "index", "retrieve", "eval"):
                 assert main([command, "--config", str(cfg_path)]) == 0, command
             digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                            for name in self.ARTIFACTS})
+                            for name in self.artifacts(out)})
             shutil.rmtree(out)
+        assert {"metrics.json", "assignments_step1.json", "assignments_step2.json",
+                "index.json", "model.ckpt", "train_log.jsonl"} <= set(digests[0])
         ok = digests[0] == digests[1]
         assert report("8 determinism", ok,
-                      "two identical full pipeline runs produced hash-equal "
-                      "metrics, assignments, and index files")
+                      f"two identical full pipeline runs produced {len(digests[0])} "
+                      "hash-equal files")

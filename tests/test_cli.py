@@ -207,11 +207,17 @@ class TestExitCodes:
         ("eval", "retrieve_cutoff", -1, "eval.retrieve_cutoff must be >= 1"),
         ("eval", "beam_width", 0, "eval.beam_width must be >= 1"),
         ("eval", "beam_width", -1, "eval.beam_width must be >= 1"),
+        ("eval", "mrr_k", 0, "eval.mrr_k must be >= 1"),
+        ("eval", "dense_k", 0, "eval.dense_k must be >= 1"),
+        ("eval", "recall_ks", [], "eval.recall_ks must not be empty"),
+        ("eval", "recall_ks", [1, 0], "eval.recall_ks entries must be >= 1"),
+        ("eval", "consistency_levels", [1, 0], "eval.consistency_levels entries must be >= 1"),
         (None, "seed", "11", "seed must be int"),
     ], ids=["int-as-str", "steps-as-str", "int-as-float", "int-as-bool", "float-as-str",
             "bool-as-int", "str-as-null", "list-with-str", "list-as-int", "gamma-above-1",
             "gamma-zero", "eps-zero", "eps-negative", "cutoff-zero", "cutoff-negative",
-            "beam-zero", "beam-negative", "top-level-int-as-str"])
+            "beam-zero", "beam-negative", "mrr-zero", "dense-k-zero", "recall-empty",
+            "recall-zero", "level-zero", "top-level-int-as-str"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, section, key, value,
                                        message):
         """A value of the wrong type or out of range fails with exit 2 before
@@ -468,6 +474,26 @@ class TestEvalScoresRetrieveRuns:
 
         monkeypatch.setattr(cli, "load_checkpoint", no_model_work)
         assert self.eval_refused(write_config(tmp_path, cfg), capsys, "eval.dense_k")
+
+    def test_baseline_checkpoint_on_other_vocabulary_refused(self, run, tmp_path, capsys):
+        """The k-means baseline's pretrain.ckpt is checked against vocab.json
+        like every other checkpoint the pipeline loads."""
+        out, cfg, _ = run
+        cfg = json.loads(json.dumps(cfg))
+        cfg["eval"]["kmeans_baseline"] = True
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["retrieve", "--config", str(cfg_path)]) == 0
+        pre_path = out / "pretrain.ckpt"
+        saved = pre_path.read_bytes()
+        try:
+            bundle = load_checkpoint(pre_path)
+            bundle.model.vocab_hash = "0" * 64
+            save_checkpoint(pre_path, bundle.model)
+            assert self.eval_refused(cfg_path, capsys,
+                                     "pretrain.ckpt: vocabulary hash does not match")
+        finally:
+            pre_path.write_bytes(saved)
+        assert not (out / "metrics.json").exists()
 
     def test_eval_recomputes_no_retrieval(self, run, monkeypatch):
         out, _, cfg_path = run

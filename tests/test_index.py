@@ -115,10 +115,14 @@ class TestCodeIndex:
         (json.dumps(dict(INDEX_HEADER, item_count="1", assignments=[])), "item_count is not"),
         (json.dumps(dict(INDEX_HEADER, checkpoint_hash=7, assignments=[])),
          "checkpoint_hash is not"),
+        (json.dumps(dict(INDEX_HEADER, assignments=[[[5], "a"]])),
+         "assignment row 0: code out of range in (5,)"),
+        (json.dumps(dict(INDEX_HEADER, item_count=2, assignments=[[[0], "a"]])),
+         "item_count is 2, the rows hold 1"),
     ], ids=["truncated", "not-object", "no-keys", "rows-not-list", "three-element-row",
             "id-not-list", "float-code", "item-not-string", "bool-code", "short-id",
             "depth-list", "depth-float", "depth-zero", "codebook-bool", "codebook-one",
-            "count-string", "hash-not-string"])
+            "count-string", "hash-not-string", "code-out-of-range", "count-mismatch"])
     def test_corrupt_file_rejected(self, tmp_path, text, reason):
         path = tmp_path / "index.json"
         path.write_text(text)
@@ -147,6 +151,19 @@ class TestBatchedInference:
             one_codes, one_finals = greedy_decode_rows(tiny_model, [tokens], depth=2)
             assert tuple(int(c) for c in sid) == tuple(int(c) for c in one_codes[0])
             assert np.allclose(final, one_finals[0], rtol=0.0, atol=1e-9)
+
+    def test_greedy_rows_continue_a_prefix(self, tiny_model):
+        """Each row keeps its prefix code and gets the step-2 code of the B=1
+        oracle state at that prefix; chunks of 3 over 7 rows."""
+        rng = np.random.default_rng(8)
+        rows = [list(rng.integers(3, 40, size=n)) for n in rng.integers(1, 10, size=7)]
+        prefix = rng.integers(0, 3, size=(7, 1))
+        codes, _ = greedy_decode_rows(tiny_model, rows, 2, prefix, chunk=3)
+        assert codes.shape == (7, 2)
+        assert np.array_equal(codes[:, 0], prefix[:, 0])
+        for tokens, p, sid in zip(rows, prefix, codes):
+            state = decode_step(tiny_model, encode(tiny_model, tokens), p, 2)
+            assert sid[1] == tiny_model.codebooks[1].assign(state.data[None])[0]
 
     def test_empty_row_rejected(self, tiny_model):
         items = {"a": [3, 4], "b": []}

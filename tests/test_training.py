@@ -8,16 +8,16 @@ from semidx import autodiff as ad
 from semidx.autodiff import Optimizer, Tensor
 from semidx.config import ProgressiveConfig
 from semidx.data import Corpus, build_vocab, synth_corpus
-from semidx.index import CodeIndex
+from semidx.index import CodeIndex, assign_all_ids
 from semidx.model import Codebook, ModelConfig, TransformerModel
-from semidx.training import (AlignmentData, BatchForward, PairEntry, SampleGroup, TrainPairBatch,
-                             batch_forward,
+from semidx.training import (AlignmentData, BatchForward, PairEntry, TrainPairBatch,
+                             assign_step_codes, batch_forward,
                              build_epoch_entries, build_prefix_batches,
                              commitment_loss, commitment_targets, contrastive_term,
                              kl_term, multi_query_sample, progressive_train,
                              train_code_step)
 
-from oracles import grad_check, row_identity_error
+from oracles import grad_check, prefix_property_holds, row_identity_error
 
 
 @pytest.fixture(scope="module")
@@ -62,16 +62,14 @@ def root_index(data) -> CodeIndex:
     return frozen_index({iid: () for iid in data.item_ids}, codebook_size=4)
 
 
-def make_batch(data, item_ids, step=1, prefixes=None, m=1, rng_seed=0):
+def make_batch(data, item_ids, prefixes=None, m=1, rng_seed=0):
+    """One group of pairs over ``item_ids`` and the frozen index of their
+    prefixes (the root ``()`` unless ``prefixes`` are given)."""
     rng = np.random.default_rng(rng_seed)
-    entries = []
-    for iid in item_ids:
-        for q in multi_query_sample(data.item_queries[iid], m, rng):
-            prefix = () if prefixes is None else prefixes[iid]
-            entries.append(PairEntry(query_tokens=list(q), item_id=iid, prefix=prefix))
-    group = SampleGroup(prefix=entries[0].prefix, entries=entries,
-                        residual=prefixes is not None and len(set(prefixes.values())) > 1)
-    return TrainPairBatch(groups=[group], step=step)
+    entries = [PairEntry(query_tokens=list(q), item_id=iid) for iid in item_ids
+               for q in multi_query_sample(data.item_queries[iid], m, rng)]
+    frozen = frozen_index(prefixes or {iid: () for iid in item_ids}, codebook_size=4)
+    return TrainPairBatch(groups=[entries]), frozen
 
 
 class TestMultiQuerySample:
@@ -96,10 +94,8 @@ class TestBuildPrefixBatches:
         batches = build_prefix_batches(frozen, entries, group_size=4, batch_size=8,
                                        rng=np.random.default_rng(3))
         assert sum(b.size for b in batches) == 10
-        for b in batches:
-            b.check_prefix_property()
-            for g in b.groups:
-                assert g.prefix == ()
+        assert prefix_property_holds(batches, frozen)
+        assert all(frozen.by_item[e.item_id] == () for b in batches for e in b.entries())
 
     def test_enumeration_example(self):
         """prefixes [(5,), (5,), (7,)] -> one group of 2, one residual of 1."""
@@ -107,13 +103,8 @@ class TestBuildPrefixBatches:
         entries = [PairEntry([1], iid) for iid in ("a", "b", "c")]
         batches = build_prefix_batches(frozen, entries, group_size=8, batch_size=64,
                                        rng=np.random.default_rng(4))
-        groups = [g for b in batches for g in b.groups]
-        regular = [g for g in groups if not g.residual]
-        residual = [g for g in groups if g.residual]
-        assert len(regular) == 1 and len(regular[0].entries) == 2
-        assert regular[0].prefix == (5,)
-        assert len(residual) == 1 and len(residual[0].entries) == 1
-        assert residual[0].entries[0].item_id == "c"
+        groups = sorted(sorted(e.item_id for e in g) for b in batches for g in b.groups)
+        assert groups == [["a", "b"], ["c"]]
 
     def test_groups_share_identical_prefix(self):
         rng = np.random.default_rng(5)
@@ -122,11 +113,7 @@ class TestBuildPrefixBatches:
         entries = [PairEntry([1], f"i{n}") for n in range(60) for _ in range(2)]
         batches = build_prefix_batches(frozen, entries, group_size=4, batch_size=16, rng=rng)
         assert sum(b.size for b in batches) == 120
-        for b in batches:
-            b.check_prefix_property()
-            for g in b.groups:
-                if not g.residual:
-                    assert all(e.prefix == g.prefix for e in g.entries)
+        assert prefix_property_holds(batches, frozen)
 
     def test_missing_assignment_is_hard_error(self):
         frozen = frozen_index({"a": (0,)})
@@ -137,15 +124,13 @@ class TestBuildPrefixBatches:
 
 
 class TestContrastiveTerm:
-    def _fwd(self, q, d, item_idx):
-        q = Tensor(np.asarray(q, dtype=float))
-        d = Tensor(np.asarray(d, dtype=float))
-        B = q.shape[0]
-        return BatchForward(step=1, entry_item_idx=np.asarray(item_idx),
-                            unique_item_ids=[f"i{n}" for n in range(int(max(item_idx)) + 1)],
-                            unique_prefix=np.zeros((int(max(item_idx)) + 1, 0), dtype=np.int64),
-                            q_states=q, d_states=d, q_final=q,
-                            d_final_unique=d, d_final_entries=d)
+    def _fwd(self, q, d_unique, item_idx):
+        """Step-1 forward pieces: one state per query and per unique item."""
+        q = np.asarray(q, dtype=float)
+        d = np.asarray(d_unique, dtype=float)
+        return BatchForward(entry_item_idx=np.asarray(item_idx),
+                            unique_prefix=np.zeros((len(d), 0), dtype=np.int64),
+                            q_states=Tensor(q[:, None, :]), d_states=Tensor(d[:, None, :]))
 
     def test_hand_formula_three_pairs(self):
         rng = np.random.default_rng(6)
@@ -168,7 +153,7 @@ class TestContrastiveTerm:
         q = rng.normal(size=(3, 4))
         d_unique = rng.normal(size=(2, 4))
         d_entries = d_unique[[0, 0, 1]]
-        fwd = self._fwd(q, d_entries, [0, 0, 1])
+        fwd = self._fwd(q, d_unique, [0, 0, 1])
         s = q @ d_entries.T
         expected = 0.0
         for i, keep in enumerate(([0, 2], [1, 2], [0, 1, 2])):
@@ -185,12 +170,12 @@ class TestAlignmentLoss:
         same forward outputs."""
         model = make_model(vocab)
         data = AlignmentData.from_corpus(corpus, vocab, 16)
-        batch = make_batch(data, data.item_ids[:4], step=1)
-        fwd = batch_forward(batch, model, data)
+        batch, frozen = make_batch(data, data.item_ids[:4])
+        fwd = batch_forward(batch, model, data, frozen)
         got = ad.add(contrastive_term(fwd), kl_term(fwd, model)).item()
 
-        q = fwd.q_final.data
-        d = fwd.d_final_entries.data
+        q = fwd.q_states.data[:, -1]
+        d = fwd.d_states.data[fwd.entry_item_idx, -1]
         s = q @ d.T
         B = len(q)
         expected = np.mean([-(s[i, i] - np.log(np.exp(s[i]).sum())) for i in range(B)])
@@ -212,17 +197,17 @@ class TestAlignmentLoss:
         ids = data.item_ids[:3]
         entries = [PairEntry(query_tokens=data.item_tokens[iid], item_id=iid)
                    for iid in ids]
-        batch = TrainPairBatch(groups=[SampleGroup(prefix=(), entries=entries)], step=1)
-        fwd = batch_forward(batch, model, data)
+        batch = TrainPairBatch(groups=[entries])
+        fwd = batch_forward(batch, model, data, root_index(data))
         assert kl_term(fwd, model).item() == pytest.approx(0.0, abs=1e-9)
 
     def test_gradients_pass_fd_check(self, corpus, vocab):
         model = make_model(vocab)
         data = AlignmentData.from_corpus(corpus, vocab, 16)
-        batch = make_batch(data, data.item_ids[:3], step=1)
+        batch, frozen = make_batch(data, data.item_ids[:3])
 
         def loss_fn():
-            fwd = batch_forward(batch, model, data)
+            fwd = batch_forward(batch, model, data, frozen)
             return ad.add(contrastive_term(fwd), kl_term(fwd, model))
 
         report = grad_check(loss_fn, model.parameters(), eps=1e-5,
@@ -232,8 +217,8 @@ class TestAlignmentLoss:
     def test_codebooks_receive_zero_gradient(self, corpus, vocab):
         model = make_model(vocab)
         data = AlignmentData.from_corpus(corpus, vocab, 16)
-        batch = make_batch(data, data.item_ids[:3], step=1)
-        fwd = batch_forward(batch, model, data)
+        batch, frozen = make_batch(data, data.item_ids[:3])
+        fwd = batch_forward(batch, model, data, frozen)
         loss = ad.add(ad.add(contrastive_term(fwd), kl_term(fwd, model)),
                       commitment(fwd, model))
         optimizer = Optimizer(model.parameters(), lr=1e-3)
@@ -253,8 +238,8 @@ class TestCommitmentLoss:
             cb.embeddings = np.tile(cb.embeddings[0], (cb.size, 1))
         data = AlignmentData.from_corpus(corpus, vocab, 16)
         prefixes = {iid: (0,) for iid in data.item_ids[:3]}
-        batch = make_batch(data, data.item_ids[:3], step=2, prefixes=prefixes)
-        got = commitment(batch_forward(batch, model, data), model).item()
+        batch, frozen = make_batch(data, data.item_ids[:3], prefixes=prefixes)
+        got = commitment(batch_forward(batch, model, data, frozen), model).item()
         assert np.isclose(got, 2 * np.log(model.config.codebook_size), atol=1e-9)
 
     def test_one_hot_distributions_vanish(self, corpus, vocab):
@@ -273,16 +258,12 @@ class TestCommitmentLoss:
         data = AlignmentData.from_corpus(corpus, vocab, 16)
         ids = data.item_ids[:3]
         prefixes = {iid: (int(c),) for iid, c in zip(ids, targets1)}
-        batch = make_batch(data, ids, step=2, prefixes=prefixes)
-        fwd = batch_forward(batch, model, data)
-        fwd = BatchForward(step=2, entry_item_idx=fwd.entry_item_idx,
-                           unique_item_ids=fwd.unique_item_ids,
+        batch, frozen = make_batch(data, ids, prefixes=prefixes)
+        fwd = batch_forward(batch, model, data, frozen)
+        fwd = BatchForward(entry_item_idx=fwd.entry_item_idx,
                            unique_prefix=targets1[:, None],
                            q_states=fwd.q_states,
-                           d_states=Tensor(np.stack([d1, d2], axis=1)),
-                           q_final=fwd.q_final,
-                           d_final_unique=Tensor(d2),
-                           d_final_entries=fwd.d_final_entries)
+                           d_states=Tensor(np.stack([d1, d2], axis=1)))
         got = commitment(fwd, model).item()
         assert got == pytest.approx(0.0, abs=1e-12)
 
@@ -292,14 +273,15 @@ class TestCommitmentLoss:
         ids = data.item_ids[:4]
         prefixes = {iid: (int(np.random.default_rng(n).integers(4)),)
                     for n, iid in enumerate(ids)}
-        batch = make_batch(data, ids, step=2, prefixes=prefixes)
-        fwd = batch_forward(batch, model, data)
+        batch, frozen = make_batch(data, ids, prefixes=prefixes)
+        fwd = batch_forward(batch, model, data, frozen)
         got = commitment(fwd, model).item()
 
         E1 = model.codebooks[0].embeddings
         E2 = model.codebooks[1].embeddings
         expected = 0.0
-        for u, iid in enumerate(fwd.unique_item_ids):
+        unique_ids = list(dict.fromkeys(e.item_id for e in batch.entries()))
+        for u, iid in enumerate(unique_ids):
             d1 = fwd.d_states.data[u, 0]
             d2 = fwd.d_states.data[u, 1]
             l1 = d1 @ E1.T
@@ -307,21 +289,37 @@ class TestCommitmentLoss:
             p1 = l1 - (l1.max() + np.log(np.exp(l1 - l1.max()).sum()))
             p2 = l2 - (l2.max() + np.log(np.exp(l2 - l2.max()).sum()))
             expected -= p1[prefixes[iid][0]] + p2[int(np.argmax(l2))]
-        expected /= len(fwd.unique_item_ids)
+        expected /= len(unique_ids)
         assert np.isclose(got, expected, atol=1e-9)
 
     def test_gradients_pass_fd_check(self, corpus, vocab):
         model = make_model(vocab)
         data = AlignmentData.from_corpus(corpus, vocab, 16)
         prefixes = {iid: (1,) for iid in data.item_ids[:3]}
-        batch = make_batch(data, data.item_ids[:3], step=2, prefixes=prefixes)
+        batch, frozen = make_batch(data, data.item_ids[:3], prefixes=prefixes)
 
         def loss_fn():
-            return commitment(batch_forward(batch, model, data), model)
+            return commitment(batch_forward(batch, model, data, frozen), model)
 
         report = grad_check(loss_fn, model.parameters(), eps=1e-5,
                             sample_per_param=3, rng=np.random.default_rng(1))
         assert report.max_rel_error < 1e-3, report.per_param
+
+
+class TestAssignStepCodes:
+    def test_continues_the_greedy_decoder(self, corpus, vocab):
+        """From the depth-0 index the pass is the greedy decoder at depth 1;
+        from those greedy codes, at depth 2."""
+        model = make_model(vocab)
+        data = AlignmentData.from_corpus(corpus, vocab, 16)
+        items = {iid: data.item_tokens[iid] for iid in data.item_ids}
+        model.trained_steps = 1
+        step1 = assign_step_codes(model, data, root_index(data))
+        assert step1.num_steps == 1
+        assert step1.by_item == assign_all_ids(model, items, 1).by_item
+        model.trained_steps = 2
+        step2 = assign_step_codes(model, data, step1)
+        assert step2.by_item == assign_all_ids(model, items, 2).by_item
 
 
 class TestTrainCodeStep:
