@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from semidx.config import (ConfigError, RunConfig, config_hash, dump_config,
 from semidx.data import (Corpus, Vocab, build_vocab, load_corpus, split_pairs,
                          synth_corpus, write_items, write_pairs)
 from semidx.metrics import RankedList
-from semidx.model import (CheckpointBundle, TransformerModel, atomic_writer,
+from semidx.model import (CheckpointBundle, ModelConfig, TransformerModel, atomic_writer,
                           checkpoint_hash, load_checkpoint, pad_rows, save_checkpoint)
 from semidx.pretrain import PretrainData, run_pretraining
 from semidx.training import AlignmentData, progressive_train
@@ -143,8 +144,9 @@ def cmd_pretrain(cfg: RunConfig, resume_from: str | None = None) -> int:
         texts = [it.text for it in corpus.items.values()] + [p.query for p in corpus.pairs]
         vocab = build_vocab(texts, min_freq=cfg.data.vocab_min_freq)
         vocab.save(out / "vocab.json")
-        model_cfg = cfg.resolved().model
-        model_cfg.vocab_size = len(vocab)
+        model_cfg = ModelConfig(**asdict(cfg.model), vocab_size=len(vocab),
+                                num_steps=cfg.train.num_steps,
+                                codebook_size=cfg.train.codebook_size, seed=cfg.seed)
         model = TransformerModel(model_cfg, vocab_hash=vocab.content_hash())
     optimizer = Optimizer(model.parameters(), lr=cfg.pretrain.lr)
     if optimizer_state is not None:
@@ -302,11 +304,13 @@ def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
     idx_path = _require(out / "index.json", "code index")
     model_hash = checkpoint_hash(ckpt_path)
     idx = index_mod.CodeIndex.load(idx_path, expected_checkpoint_hash=model_hash)
-    manifest = json.loads(_require(out / "retrieve_manifest.json", "retrieve manifest")
-                          .read_text(encoding="utf-8"))
+    manifest_path = _require(out / "retrieve_manifest.json", "retrieve manifest")
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("inputs"), dict):
+        raise ValueError(f"{manifest_path}: corrupt retrieve manifest file (no inputs object)")
     if manifest.get("config_hash") != config_hash(cfg):
         raise ConfigError("retrieve ran with another config; run retrieve again")
-    seen = manifest.get("inputs") or {}
+    seen = manifest["inputs"]
     if [seen.get("model"), seen.get("index")] != [model_hash, _hash_file(idx_path)]:
         raise ConfigError("retrieve ran on another checkpoint or index; run retrieve again")
     query_inputs = _query_inputs(cfg)
@@ -321,7 +325,10 @@ def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
     run_paths = {mode: out / f"runs_{mode}.json" for mode in ("dense", "generative")}
     for mode, path in run_paths.items():
         rows = json.loads(_require(path, "retrieval runs").read_text(encoding="utf-8"))
-        runs = [RankedList(**row) for row in rows]
+        try:
+            runs = [RankedList(**row) for row in rows]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: corrupt retrieval runs file ({exc})") from exc
         if [r.query_id for r in runs] != query_ids:
             raise ConfigError(f"{path.name} does not answer the held-out queries in "
                               "order; run retrieve again")

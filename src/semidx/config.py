@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from semidx.model import ModelConfig, atomic_writer
+from semidx.model import BackboneConfig, atomic_writer
 
 
 class ConfigError(ValueError):
@@ -78,23 +78,15 @@ class RunConfig:
     out_dir: str = "runs/default"
     data_dir: str = "runs/default/data"
     data: DataConfig = field(default_factory=DataConfig)
-    model: ModelConfig = field(default_factory=lambda: ModelConfig(vocab_size=0))
+    model: BackboneConfig = field(default_factory=BackboneConfig)
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
     train: ProgressiveConfig = field(default_factory=ProgressiveConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
-    def resolved(self) -> "RunConfig":
-        """Propagate the training schedule into the model architecture."""
-        cfg = from_dict(to_dict(self))
-        cfg.model.num_steps = cfg.train.num_steps
-        cfg.model.codebook_size = cfg.train.codebook_size
-        cfg.model.seed = cfg.seed
-        return cfg
-
 
 _SECTIONS = {
     "data": DataConfig,
-    "model": ModelConfig,
+    "model": BackboneConfig,
     "pretrain": PretrainConfig,
     "train": ProgressiveConfig,
     "eval": EvalConfig,
@@ -125,13 +117,10 @@ def _build(cls, payload: dict, where: str):
     if unknown:
         raise ConfigError(f"unknown config key(s) in {where}: {sorted(unknown)}")
     _check_types(cls, payload, f"{where}.")
-    return cls(**payload)
-
-
-# model keys the pipeline sets itself, each from the source named here; a
-# config may carry them only at their defaults, as config.resolved.json does
-_DERIVED_MODEL_KEYS = {"num_steps": "train.num_steps", "codebook_size": "train.codebook_size",
-                       "seed": "seed", "vocab_size": "the vocabulary"}
+    try:
+        return cls(**payload)
+    except ValueError as exc:  # a range check in the section's own class
+        raise ConfigError(f"{where}.{exc}") from exc
 
 
 def from_dict(payload: dict) -> RunConfig:
@@ -142,8 +131,6 @@ def from_dict(payload: dict) -> RunConfig:
             section = payload.pop(name)
             if not isinstance(section, dict):
                 raise ConfigError(f"config section {name!r} must be an object")
-            if name == "model" and "vocab_size" not in section:
-                section = {"vocab_size": 0, **section}
             kwargs[name] = _build(cls, section, name)
     top = {f.name for f in dataclasses.fields(RunConfig)} - set(_SECTIONS)
     unknown = set(payload) - top
@@ -155,18 +142,19 @@ def from_dict(payload: dict) -> RunConfig:
     # the decay train_code_step passes to Codebook.ema_update, which does not check it
     if not 0 < cfg.train.gamma <= 1:
         raise ConfigError(f"train.gamma must lie in (0, 1], not {cfg.train.gamma!r}")
-    for key in ("beam_width", "retrieve_cutoff", "mrr_k", "dense_k"):
-        if getattr(cfg.eval, key) < 1:
-            raise ConfigError(f"eval.{key} must be >= 1, not {getattr(cfg.eval, key)!r}")
+    # counts a stage steps or divides by: zero would run an empty or degenerate stage
+    for section, key in (("pretrain", "batch_size"), ("train", "group_size"),
+                         ("train", "batch_size"), ("train", "queries_per_item"),
+                         ("eval", "beam_width"), ("eval", "retrieve_cutoff"),
+                         ("eval", "mrr_k"), ("eval", "dense_k")):
+        value = getattr(getattr(cfg, section), key)
+        if value < 1:
+            raise ConfigError(f"{section}.{key} must be >= 1, not {value!r}")
     if not cfg.eval.recall_ks:
         raise ConfigError("eval.recall_ks must not be empty")
     for key in ("recall_ks", "consistency_levels"):
         if any(v < 1 for v in getattr(cfg.eval, key)):
             raise ConfigError(f"eval.{key} entries must be >= 1, not {getattr(cfg.eval, key)!r}")
-    default = RunConfig().model
-    for key, source in _DERIVED_MODEL_KEYS.items():
-        if getattr(cfg.model, key) != getattr(default, key):
-            raise ConfigError(f"model.{key} is set from {source}; leave it out of the config")
     return cfg
 
 

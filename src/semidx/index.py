@@ -201,32 +201,22 @@ def beam_search_decode_batch(model: TransformerModel, token_rows: list[list[int]
         memory = model.encode_batch(tok, mask).data
         per_query: list[list[tuple[SemanticId, float]]] = [[((), 0.0)] for _ in rows]
         for t in range(1, depth + 1):
-            flat_prefix: list[SemanticId] = []
-            owners: list[int] = []
-            for qi, beams in enumerate(per_query):
-                for prefix, _ in beams:
-                    flat_prefix.append(prefix)
-                    owners.append(qi)
-            if not flat_prefix:
+            beams = [(q, prefix, score) for q, kept in enumerate(per_query)
+                     for prefix, score in kept]
+            if not beams:
                 break
-            prefix_arr = np.array([list(p) for p in flat_prefix],
-                                  dtype=np.int64).reshape(len(flat_prefix), t - 1)
-            mem_rep = ad.Tensor(memory[owners])
-            mask_rep = mask[owners]
-            states = model.decode_code_states(mem_rep, mask_rep, prefix_arr)
+            owners = [q for q, _, _ in beams]
+            prefixes = np.array([p for _, p, _ in beams], dtype=np.int64).reshape(len(beams), t - 1)
+            states = model.decode_code_states(ad.Tensor(memory[owners]), mask[owners], prefixes)
             log_p = model.codebooks[t - 1].row_log_probs(states.data[:, t - 1, :])
-            row = 0
-            for qi, beams in enumerate(per_query):
-                candidates: list[tuple[SemanticId, float]] = []
-                for prefix, score in beams:
-                    allowed = (index.children_of(prefix) if constrain
-                               else range(model.config.codebook_size))
-                    for c in allowed:
-                        candidates.append((prefix + (int(c),),
-                                           score + float(log_p[row][int(c)])))
-                    row += 1
-                candidates.sort(key=lambda pair: (-pair[1], pair[0]))
-                per_query[qi] = candidates[:beam_width]
+            candidates: list[list[tuple[SemanticId, float]]] = [[] for _ in rows]
+            for (q, prefix, score), row_log_p in zip(beams, log_p):
+                allowed = (index.children_of(prefix) if constrain
+                           else range(model.config.codebook_size))
+                candidates[q] += [(prefix + (int(c),), score + float(row_log_p[int(c)]))
+                                  for c in allowed]
+            per_query = [sorted(c, key=lambda pair: (-pair[1], pair[0]))[:beam_width]
+                         for c in candidates]
         out.extend(per_query)
     return out
 

@@ -15,7 +15,7 @@ import json
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -32,28 +32,39 @@ _NEG_BIAS = -1e9
 LAPLACE_EPS = 1e-5
 
 
-@dataclass
-class ModelConfig:
-    """Backbone and quantization hyperparameters (desk-scale defaults)."""
+# the least value of each config field below; every other field is a count >= 1
+_LEAST_CONFIG_VALUE = {"encoder_layers": 0, "decoder_layers": 0, "codebook_size": 2, "seed": 0}
 
-    vocab_size: int
+
+@dataclass
+class BackboneConfig:
+    """The encoder-decoder's shape: what a run config's ``model`` section sets."""
+
     hidden_size: int = 64
     encoder_layers: int = 2
     decoder_layers: int = 2
     attention_heads: int = 2
     feed_forward_size: int = 256
     max_text_len: int = 32
+
+    def __post_init__(self):
+        for f in fields(self):
+            least, value = _LEAST_CONFIG_VALUE.get(f.name, 1), getattr(self, f.name)
+            if value < least:
+                raise ValueError(f"{f.name} must be >= {least}, not {value!r}")
+        if self.hidden_size % self.attention_heads != 0:
+            raise ValueError("hidden_size must be divisible by attention_heads")
+
+
+@dataclass
+class ModelConfig(BackboneConfig):
+    """A backbone plus what the run derives for it: the vocabulary size, the
+    code schedule and the seed (desk-scale defaults)."""
+
+    vocab_size: int = field(kw_only=True)
     num_steps: int = 4
     codebook_size: int = 16
     seed: int = 0
-
-    def __post_init__(self):
-        if self.hidden_size % self.attention_heads != 0:
-            raise ValueError("hidden_size must be divisible by attention_heads")
-        if self.num_steps < 1:
-            raise ValueError("num_steps must be >= 1")
-        if self.codebook_size < 2:
-            raise ValueError("codebook_size must be >= 2")
 
 
 class Codebook:
@@ -535,7 +546,10 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         arr = np.frombuffer(payload, dtype="<f8", count=like.size, offset=entry["offset"])
         return arr.reshape(like.shape).astype(np.float64)
 
-    config = ModelConfig(**header["config"])
+    try:
+        config = ModelConfig(**header["config"])
+    except ValueError as exc:
+        raise corrupt(f"header config: {exc}") from exc
     model = TransformerModel(config, vocab_hash=header["vocab_hash"])
     model.trained_steps = header["trained_steps"]
     for name, tensor in model.params.items():

@@ -16,6 +16,7 @@ from semidx import cli
 from semidx.autodiff import Optimizer
 from semidx.cli import main
 from semidx.config import ConfigError, from_dict, load_config
+from semidx.data import Vocab
 from semidx.index import CodeIndex
 from semidx.model import checkpoint_hash, load_checkpoint, save_checkpoint
 
@@ -73,11 +74,22 @@ class TestConfig:
             load_config(path)
 
     def test_roundtrip(self, tmp_path):
-        cfg_path = write_config(tmp_path, mini_config(tmp_path / "run"))
+        """The checkpoint header records what the run derives for the model;
+        the config written next to it holds only the backbone's shape."""
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path, mini_config(out))
         cfg = load_config(cfg_path)
         assert cfg.train.codebook_size == 4
-        resolved = cfg.resolved()
-        assert resolved.model.num_steps == cfg.train.num_steps
+        for command in ("synth", "pretrain"):
+            assert main([command, "--config", str(cfg_path)]) == 0, command
+        header = load_checkpoint(out / "pretrain.ckpt").model.config
+        assert (header.num_steps, header.codebook_size, header.seed, header.vocab_size) == (
+            cfg.train.num_steps, cfg.train.codebook_size, cfg.seed,
+            len(Vocab.load(out / "vocab.json")))
+        written = json.loads((out / "config.resolved.json").read_text())
+        assert set(written["model"]) == {"hidden_size", "encoder_layers", "decoder_layers",
+                                         "attention_heads", "feed_forward_size", "max_text_len"}
+        assert load_config(out / "config.resolved.json") == cfg
 
     @pytest.mark.parametrize("section, key, value", [
         ("data", "tokenizer_mode", "word"), ("data", "vocab_max_size", None),
@@ -180,13 +192,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value", [("num_steps", 3), ("codebook_size", 32),
                                             ("seed", 9), ("vocab_size", 50)])
     def test_derived_model_key_is_config_error(self, tmp_path, capsys, key, value):
-        """Keys the pipeline overwrites cannot be set in the model section."""
+        """Keys the pipeline derives for the model are unknown in the model
+        section, which holds only the backbone's shape."""
         cfg = mini_config(tmp_path / "run")
         cfg["model"][key] = value
         cfg_path = write_config(tmp_path, cfg)
         capsys.readouterr()
         assert main(["synth", "--config", str(cfg_path)]) == 2
-        assert f"model.{key} is set from" in capsys.readouterr().err
+        assert f"unknown config key(s) in model: ['{key}']" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("section, key, value, message", [
@@ -213,11 +226,26 @@ class TestExitCodes:
         ("eval", "recall_ks", [1, 0], "eval.recall_ks entries must be >= 1"),
         ("eval", "consistency_levels", [1, 0], "eval.consistency_levels entries must be >= 1"),
         (None, "seed", "11", "seed must be int"),
+        ("model", "attention_heads", 0, "model.attention_heads must be >= 1, not 0"),
+        ("model", "attention_heads", -2, "model.attention_heads must be >= 1, not -2"),
+        ("model", "hidden_size", 0, "model.hidden_size must be >= 1, not 0"),
+        ("model", "max_text_len", 0, "model.max_text_len must be >= 1, not 0"),
+        ("model", "feed_forward_size", 0, "model.feed_forward_size must be >= 1, not 0"),
+        ("model", "encoder_layers", -1, "model.encoder_layers must be >= 0, not -1"),
+        ("model", "decoder_layers", -1, "model.decoder_layers must be >= 0, not -1"),
+        ("model", "hidden_size", 15, "model.hidden_size must be divisible by attention_heads"),
+        ("train", "batch_size", 0, "train.batch_size must be >= 1, not 0"),
+        ("train", "queries_per_item", 0, "train.queries_per_item must be >= 1, not 0"),
+        ("train", "group_size", 0, "train.group_size must be >= 1, not 0"),
+        ("pretrain", "batch_size", 0, "pretrain.batch_size must be >= 1, not 0"),
     ], ids=["int-as-str", "steps-as-str", "int-as-float", "int-as-bool", "float-as-str",
             "bool-as-int", "str-as-null", "list-with-str", "list-as-int", "gamma-above-1",
             "gamma-zero", "eps-zero", "eps-negative", "cutoff-zero", "cutoff-negative",
             "beam-zero", "beam-negative", "mrr-zero", "dense-k-zero", "recall-empty",
-            "recall-zero", "level-zero", "top-level-int-as-str"])
+            "recall-zero", "level-zero", "top-level-int-as-str", "heads-zero",
+            "heads-negative", "hidden-zero", "text-len-zero", "feed-forward-zero",
+            "encoder-layers-negative", "decoder-layers-negative", "hidden-indivisible",
+            "train-batch-zero", "train-queries-zero", "group-zero", "pretrain-batch-zero"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, section, key, value,
                                        message):
         """A value of the wrong type or out of range fails with exit 2 before
@@ -457,6 +485,22 @@ class TestEvalScoresRetrieveRuns:
         cfg = json.loads(json.dumps(cfg))
         cfg["eval"]["beam_width"] += 1
         assert self.eval_refused(write_config(tmp_path, cfg), capsys, "another config")
+
+    @pytest.mark.parametrize("name, edit, reason", [
+        ("runs_dense.json", lambda rows: [1], "runs_dense.json: corrupt retrieval runs file"),
+        ("runs_generative.json", lambda rows: [dict(rows[0], extra=1), *rows[1:]],
+         "runs_generative.json: corrupt retrieval runs file"),
+        ("retrieve_manifest.json", lambda manifest: [],
+         "retrieve_manifest.json: corrupt retrieve manifest file"),
+    ], ids=["runs-not-rows", "runs-row-extra-key", "manifest-not-object"])
+    def test_corrupt_retrieve_file_refused(self, run, capsys, name, edit, reason):
+        """A file retrieve wrote that eval cannot read is a corrupt artifact
+        (exit 2), not a runtime failure, and no metrics are written."""
+        out, _, cfg_path = run
+        path = out / name
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        assert self.eval_refused(cfg_path, capsys, reason)
+        assert not (out / "metrics.json").exists()
 
     def test_dropped_query_refused(self, run, capsys):
         out, _, cfg_path = run

@@ -7,6 +7,7 @@ import dataclasses
 from pathlib import Path
 
 from semidx.config import DataConfig, EvalConfig, PretrainConfig, ProgressiveConfig
+from semidx.model import BackboneConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "semidx"
 
@@ -21,6 +22,7 @@ def test_every_config_field_is_read():
     assert modules
     read = set().union(*(attributes_read(p) for p in modules))
     unread = {f"{cls.__name__}.{f.name}"
-              for cls in (DataConfig, PretrainConfig, ProgressiveConfig, EvalConfig)
+              for cls in (DataConfig, BackboneConfig, PretrainConfig, ProgressiveConfig,
+                          EvalConfig)
               for f in dataclasses.fields(cls) if f.name not in read}
     assert unread == set()

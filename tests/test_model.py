@@ -387,7 +387,9 @@ class TestCheckpoint:
             "config value a string":
                 rewrite_header(raw, lambda h: h["config"].update(hidden_size="16")),
             "config value a float":
-                rewrite_header(raw, lambda h: h["config"].update(hidden_size=16.0))}
+                rewrite_header(raw, lambda h: h["config"].update(hidden_size=16.0)),
+            "config with zero attention heads":
+                rewrite_header(raw, lambda h: h["config"].update(attention_heads=0))}
         # the last array again, under its own name and with its own bytes
         header_len = int.from_bytes(raw[8:16], "little")
         last = json.loads(raw[16:16 + header_len])["arrays"][-1]
