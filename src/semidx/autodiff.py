@@ -9,11 +9,20 @@ a meaningful oracle for every gradient this module produces.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 Array = np.ndarray
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+LAYER_NORM_EPS = 1e-5
+KL_FLOOR = 1e-9
+
+_grad_enabled = True
 
 
 def _as_array(x) -> Array:
@@ -100,9 +109,22 @@ def _accumulate(t: Tensor, g: Array) -> None:
         t.grad = t.grad + g
 
 
+@contextmanager
+def no_grad():
+    """Inside this block, or a function it decorates, operations record no
+    graph: their outputs are constants, so no backward closure keeps the
+    activations alive."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _node(data: Array, parents: Sequence[Tensor], backward: Callable[[Array], None]) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -344,13 +366,13 @@ def log_softmax(t, axis: int = -1) -> Tensor:
     return _node(out, (t,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Layer normalization over the last axis."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
 
     def backward(g: Array) -> None:
@@ -382,10 +404,10 @@ def nll_loss(log_probs: Tensor, targets, mask: Array | None = None) -> Tensor:
     return mul(sum_(picked), -1.0)
 
 
-def kl_divergence(p, q, floor: float = 1e-9) -> Tensor:
+def kl_divergence(p, q) -> Tensor:
     """KL(p || q), reduced over the last axis.
 
-    ``q`` is clamped at ``floor`` before the log to keep near-one-hot
+    ``q`` is clamped at ``KL_FLOOR`` before the log to keep near-one-hot
     distributions from blowing up the ratio; ``p`` is clamped only inside
     its own log so that p=0 entries contribute exactly zero.
     """
@@ -396,8 +418,8 @@ def kl_divergence(p, q, floor: float = 1e-9) -> Tensor:
     sums_q = q.data.sum(axis=-1)
     if not (np.allclose(sums_p, 1.0, atol=1e-6) and np.allclose(sums_q, 1.0, atol=1e-6)):
         raise ValueError("kl_divergence inputs must sum to 1 along the last axis")
-    logp = log(maximum_scalar(p, floor))
-    logq = log(maximum_scalar(q, floor))
+    logp = log(maximum_scalar(p, KL_FLOOR))
+    logq = log(maximum_scalar(q, KL_FLOOR))
     return sum_(mul(p, sub(logp, logq)), axis=-1)
 
 
@@ -410,21 +432,18 @@ class Optimizer:
 
     Non-finite gradients cause the whole update to be skipped, with a
     counter recording how often that happened; the step counter only
-    advances on applied updates. A loaded state restores the counters and
-    moments only; the learning rate and betas stay the constructor's.
+    advances on applied updates. The two counters and the moments ``m`` and
+    ``v`` are the whole state a checkpoint keeps; the learning rate is the
+    constructor's.
     """
 
-    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-3):
         self.params: dict[str, Tensor] = dict(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self.skipped_updates = 0
-        self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -441,28 +460,13 @@ class Optimizer:
                 return False
         self.step_count += 1
         t = self.step_count
-        c1 = 1.0 - self.beta1 ** t
-        c2 = 1.0 - self.beta2 ** t
+        c1 = 1.0 - ADAM_BETA1 ** t
+        c2 = 1.0 - ADAM_BETA2 ** t
         for k, p in self.params.items():
             g = grads[k]
-            self._m[k] = self.beta1 * self._m[k] + (1.0 - self.beta1) * g
-            self._v[k] = self.beta2 * self._v[k] + (1.0 - self.beta2) * (g * g)
-            mhat = self._m[k] / c1
-            vhat = self._v[k] / c2
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * (g * g)
+            mhat = self.m[k] / c1
+            vhat = self.v[k] / c2
+            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         return True
-
-    def state_dict(self) -> dict:
-        return {
-            "step_count": self.step_count,
-            "skipped_updates": self.skipped_updates,
-            "m": {k: v.copy() for k, v in self._m.items()},
-            "v": {k: v.copy() for k, v in self._v.items()},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.step_count = int(state["step_count"])
-        self.skipped_updates = int(state["skipped_updates"])
-        for k in self.params:
-            self._m[k] = np.asarray(state["m"][k], dtype=np.float64)
-            self._v[k] = np.asarray(state["v"][k], dtype=np.float64)

@@ -92,6 +92,14 @@ def _load_checkpoint(cfg: RunConfig, path: Path, hint: str) -> tuple[CheckpointB
     return bundle, vocab
 
 
+def _read_retrieve_json(path: Path, what: str):
+    """A JSON file retrieve wrote; one that does not parse is a corrupt ``what`` file."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: corrupt {what} file (not JSON)") from exc
+
+
 def _jsonl_logger(path: Path):
     fh = open(path, "w", encoding="utf-8")
 
@@ -110,8 +118,7 @@ def cmd_synth(cfg: RunConfig) -> int:
     items, pairs = synth_corpus(
         depth=d.depth, branching=d.branching, vocab_per_node=d.vocab_per_node,
         items_per_leaf=d.items_per_leaf, query_noise=d.query_noise, seed=cfg.seed,
-        queries_per_item=d.queries_per_item, tokens_per_level=d.tokens_per_level,
-        noise_pool_size=d.noise_pool_size)
+        queries_per_item=d.queries_per_item, tokens_per_level=d.tokens_per_level)
     train, heldout = split_pairs(pairs, d.holdout_per_item, seed=cfg.seed)
     data_dir = Path(cfg.data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
@@ -131,7 +138,7 @@ def cmd_pretrain(cfg: RunConfig, resume_from: str | None = None) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    start_epoch, optimizer_state = 0, None
+    start_epoch, optimizer_state = 0, {}
     if resume_from:
         bundle, vocab = _load_checkpoint(cfg, Path(resume_from), "checkpoint to resume from")
         model = bundle.model
@@ -139,18 +146,17 @@ def cmd_pretrain(cfg: RunConfig, resume_from: str | None = None) -> int:
         if type(start_epoch) is not int or start_epoch < 0:
             raise ValueError(f"{resume_from}: truncated or corrupt checkpoint "
                              "(epochs_completed is not a non-negative integer)")
-        optimizer_state = bundle.optimizer_state
+        optimizer_state = bundle.optimizer_state or {}
     else:
         texts = [it.text for it in corpus.items.values()] + [p.query for p in corpus.pairs]
-        vocab = build_vocab(texts, min_freq=cfg.data.vocab_min_freq)
+        vocab = build_vocab(texts)
         vocab.save(out / "vocab.json")
         model_cfg = ModelConfig(**asdict(cfg.model), vocab_size=len(vocab),
                                 num_steps=cfg.train.num_steps,
                                 codebook_size=cfg.train.codebook_size, seed=cfg.seed)
         model = TransformerModel(model_cfg, vocab_hash=vocab.content_hash())
     optimizer = Optimizer(model.parameters(), lr=cfg.pretrain.lr)
-    if optimizer_state is not None:
-        optimizer.load_state_dict(optimizer_state)
+    vars(optimizer).update(optimizer_state)   # step_count, skipped_updates, m and v
 
     data = PretrainData.from_corpus(corpus, vocab, model.config.max_text_len)
     log, fh = _jsonl_logger(out / "pretrain_log.jsonl")
@@ -305,7 +311,7 @@ def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
     model_hash = checkpoint_hash(ckpt_path)
     idx = index_mod.CodeIndex.load(idx_path, expected_checkpoint_hash=model_hash)
     manifest_path = _require(out / "retrieve_manifest.json", "retrieve manifest")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _read_retrieve_json(manifest_path, "retrieve manifest")
     if not isinstance(manifest, dict) or not isinstance(manifest.get("inputs"), dict):
         raise ValueError(f"{manifest_path}: corrupt retrieve manifest file (no inputs object)")
     if manifest.get("config_hash") != config_hash(cfg):
@@ -324,7 +330,7 @@ def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
     metrics: list[dict] = []
     run_paths = {mode: out / f"runs_{mode}.json" for mode in ("dense", "generative")}
     for mode, path in run_paths.items():
-        rows = json.loads(_require(path, "retrieval runs").read_text(encoding="utf-8"))
+        rows = _read_retrieve_json(_require(path, "retrieval runs"), "retrieval runs")
         try:
             runs = [RankedList(**row) for row in rows]
         except (TypeError, ValueError) as exc:
@@ -350,9 +356,8 @@ def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
     categories = {iid: it.category for iid, it in corpus.items.items()
                   if it.category is not None}
     paths = {iid: it.path for iid, it in corpus.items.items() if it.path is not None}
-    for level in cfg.eval.consistency_levels:
-        if level > idx.num_steps:
-            continue
+    levels = range(1, idx.num_steps + 1)
+    for level in levels:
         code_part = metrics_mod.partition_from_ids(idx.by_item, level)
         if categories and level == 1:
             value, count = shared_ami(code_part, categories)
@@ -367,9 +372,7 @@ def cmd_eval(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
     query_codes, _ = index_mod.greedy_decode_rows(model, token_rows, model.trained_steps)
     query_sids = {qid: tuple(int(c) for c in row) for qid, row in zip(query_ids, query_codes)}
     pairs = [(qid, next(iter(judgments[qid]))) for qid in query_ids]
-    for level in cfg.eval.consistency_levels:
-        if level > idx.num_steps:
-            continue
+    for level in levels:
         value = metrics_mod.code_consistency(pairs, query_sids, idx.by_item, level)
         metrics.append({"name": "code_consistency", "level": level, "value": value,
                         "pair_count": len(pairs)})

@@ -7,6 +7,7 @@ loudly; every command writes the fully resolved config next to its outputs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -28,9 +29,7 @@ class DataConfig:
     queries_per_item: int = 3
     query_noise: float = 0.1
     tokens_per_level: int = 6
-    noise_pool_size: int = 60
     holdout_per_item: int = 1
-    vocab_min_freq: int = 1
 
 
 @dataclass
@@ -65,7 +64,6 @@ class ProgressiveConfig:
 class EvalConfig:
     recall_ks: list[int] = field(default_factory=lambda: [1, 10, 100])
     mrr_k: int = 100
-    consistency_levels: list[int] = field(default_factory=lambda: [1, 2])
     beam_width: int = 8
     retrieve_cutoff: int = 100
     dense_k: int = 100
@@ -104,6 +102,26 @@ _TYPE_CHECKS = {
 }
 
 
+# the range of every number a stage reads: a count a stage steps or divides
+# by, a rate or a probability out of range would run an empty or degenerate
+# stage, or fail later without naming its key
+_RANGES = (
+    ("be >= 0", lambda v: v >= 0,
+     ("seed", "data.holdout_per_item", "pretrain.epochs", "train.warmup_batches",
+      "train.dead_code_threshold", "train.reinit_interval_batches")),
+    ("be >= 1", lambda v: v >= 1,
+     ("data.depth", "data.vocab_per_node", "data.items_per_leaf", "data.queries_per_item",
+      "data.tokens_per_level", "pretrain.batch_size", "train.num_steps", "train.group_size",
+      "train.batch_size", "train.queries_per_item", "train.epochs_per_step",
+      "eval.beam_width", "eval.retrieve_cutoff", "eval.mrr_k", "eval.dense_k")),
+    ("be >= 2", lambda v: v >= 2, ("data.branching", "train.codebook_size")),
+    ("be > 0", lambda v: v > 0, ("pretrain.lr", "train.lr")),
+    ("lie in [0, 1]", lambda v: 0 <= v <= 1, ("data.query_noise",)),
+    # the EMA decay, which Codebook.ema_update does not check
+    ("lie in (0, 1]", lambda v: 0 < v <= 1, ("train.gamma",)),
+)
+
+
 def _check_types(cls, payload: dict, prefix: str) -> None:
     types = {f.name: f.type for f in dataclasses.fields(cls)}
     for key, value in payload.items():
@@ -139,22 +157,15 @@ def from_dict(payload: dict) -> RunConfig:
     _check_types(RunConfig, payload, "")
     kwargs.update(payload)
     cfg = RunConfig(**kwargs)
-    # the decay train_code_step passes to Codebook.ema_update, which does not check it
-    if not 0 < cfg.train.gamma <= 1:
-        raise ConfigError(f"train.gamma must lie in (0, 1], not {cfg.train.gamma!r}")
-    # counts a stage steps or divides by: zero would run an empty or degenerate stage
-    for section, key in (("pretrain", "batch_size"), ("train", "group_size"),
-                         ("train", "batch_size"), ("train", "queries_per_item"),
-                         ("eval", "beam_width"), ("eval", "retrieve_cutoff"),
-                         ("eval", "mrr_k"), ("eval", "dense_k")):
-        value = getattr(getattr(cfg, section), key)
-        if value < 1:
-            raise ConfigError(f"{section}.{key} must be >= 1, not {value!r}")
+    for rule, holds, names in _RANGES:
+        for name in names:
+            value = functools.reduce(getattr, name.split("."), cfg)
+            if not holds(value):
+                raise ConfigError(f"{name} must {rule}, not {value!r}")
     if not cfg.eval.recall_ks:
         raise ConfigError("eval.recall_ks must not be empty")
-    for key in ("recall_ks", "consistency_levels"):
-        if any(v < 1 for v in getattr(cfg.eval, key)):
-            raise ConfigError(f"eval.{key} entries must be >= 1, not {getattr(cfg.eval, key)!r}")
+    if any(k < 1 for k in cfg.eval.recall_ks):
+        raise ConfigError(f"eval.recall_ks entries must be >= 1, not {cfg.eval.recall_ks!r}")
     return cfg
 
 

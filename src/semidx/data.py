@@ -26,6 +26,8 @@ PAD, UNK, BOS = "<pad>", "<unk>", "<s>"
 TASK_QUERY_GEN, TASK_CLOZE, TASK_SUFFIX = "<qgen>", "<cloze>", "<suffix>"
 MASK_SENTINELS = ("<m0>", "<m1>", "<m2>")
 RESERVED_TOKENS = (PAD, UNK, BOS, TASK_QUERY_GEN, TASK_CLOZE, TASK_SUFFIX) + MASK_SENTINELS
+NOISE_POOL_SIZE = 60   # noise tokens a synthetic query may substitute
+QUERY_LEN = (3, 6)     # least and most tokens a synthetic query draws from its item
 
 _WORD_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -101,8 +103,8 @@ class Vocab:
         return cls(tokens=tokens)
 
 
-def build_vocab(texts, min_freq: int = 1) -> Vocab:
-    """Frequency-ranked vocabulary with a fixed reserved prefix.
+def build_vocab(texts) -> Vocab:
+    """Frequency-ranked vocabulary of every token, after a fixed reserved prefix.
 
     Ties are broken lexicographically so the result is deterministic for a
     given corpus.
@@ -115,7 +117,7 @@ def build_vocab(texts, min_freq: int = 1) -> Vocab:
     if not seen_any:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept = [tok for tok, c in ranked if c >= min_freq and tok not in RESERVED_TOKENS]
+    kept = [tok for tok, _ in ranked if tok not in RESERVED_TOKENS]
     return Vocab(tokens=list(RESERVED_TOKENS) + kept)
 
 
@@ -261,9 +263,7 @@ def write_pairs(pairs, path: str | Path) -> None:
 def synth_corpus(depth: int, branching: int, vocab_per_node: int,
                  items_per_leaf: int, query_noise: float, seed: int,
                  queries_per_item: int | tuple[int, int] = (1, 5),
-                 tokens_per_level: int = 6,
-                 query_len: tuple[int, int] = (3, 6),
-                 noise_pool_size: int = 60) -> tuple[list[ItemRecord], list[QueryItemPair]]:
+                 tokens_per_level: int = 6) -> tuple[list[ItemRecord], list[QueryItemPair]]:
     """Generate a corpus organized as a ``branching``-ary topic tree.
 
     Every tree node owns a disjoint token pool; an item's text samples
@@ -284,7 +284,7 @@ def synth_corpus(depth: int, branching: int, vocab_per_node: int,
     for level in range(1, depth + 1):
         for node in range(branching ** level):
             pools[(level, node)] = [f"w{level}n{node}t{j}" for j in range(vocab_per_node)]
-    noise_pool = [f"noise{j}" for j in range(noise_pool_size)]
+    noise_pool = [f"noise{j}" for j in range(NOISE_POOL_SIZE)]
 
     items: list[ItemRecord] = []
     pairs: list[QueryItemPair] = []
@@ -311,7 +311,7 @@ def synth_corpus(depth: int, branching: int, vocab_per_node: int,
                 lo, hi = queries_per_item
                 n_queries = int(rng.integers(lo, hi + 1))
             for _ in range(n_queries):
-                qlen = int(rng.integers(query_len[0], query_len[1] + 1))
+                qlen = int(rng.integers(QUERY_LEN[0], QUERY_LEN[1] + 1))
                 qlen = min(qlen, len(tokens))
                 picked = list(rng.choice(tokens, size=qlen, replace=False))
                 q_tokens = [str(rng.choice(noise_pool)) if rng.random() < query_noise else t

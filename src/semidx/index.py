@@ -27,6 +27,7 @@ from semidx.model import SemanticId, TransformerModel, atomic_writer, pad_rows
 
 _INDEX_KEYS = ("version", "checkpoint_hash", "num_steps", "codebook_size", "item_count",
                "assignments")
+KMEANS_ITERS = 20
 
 
 class CodeIndex:
@@ -180,6 +181,7 @@ def beam_search_decode(model: TransformerModel, query_tokens, beam_width: int,
                                     constrain=constrain, index=index)[0]
 
 
+@ad.no_grad()
 def beam_search_decode_batch(model: TransformerModel, token_rows: list[list[int]],
                              beam_width: int, depth: int, constrain: bool = False,
                              index: CodeIndex | None = None) -> list[list[tuple[SemanticId, float]]]:
@@ -293,13 +295,12 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def kmeans(x: np.ndarray, k: int, rng: np.random.Generator,
-           iters: int = 20) -> np.ndarray:
-    """Plain Lloyd iterations with k-means++ seeding; returns labels."""
+def kmeans(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """``KMEANS_ITERS`` Lloyd iterations from k-means++ seeding; returns labels."""
     x = np.asarray(x, dtype=np.float64)
     centers = _kmeans_pp_init(x, k, rng)
     labels = np.zeros(x.shape[0], dtype=np.int64)
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = d2.argmin(axis=1)
         for j in range(k):

@@ -183,12 +183,11 @@ def pad_rows(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
 class TransformerModel:
     """The trainable backbone plus its codebooks."""
 
-    def __init__(self, config: ModelConfig, vocab_hash: str = "",
-                 rng: np.random.Generator | None = None):
+    def __init__(self, config: ModelConfig, vocab_hash: str = ""):
         self.config = config
         self.vocab_hash = vocab_hash
         self.trained_steps = 0
-        rng = rng if rng is not None else np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed)
         self.params: dict[str, Tensor] = {}
         self._init_params(rng)
         self.codebooks = [Codebook(config.codebook_size, config.hidden_size, rng)
@@ -360,6 +359,7 @@ class TransformerModel:
         if depth > self.trained_steps:
             raise ValueError(f"depth {depth} exceeds trained steps ({self.trained_steps})")
 
+    @ad.no_grad()
     def greedy_decode_batch(self, tokens: np.ndarray, mask: np.ndarray, depth: int,
                             prefix: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Greedy code assignment for a padded batch, continuing the (B, P)
@@ -383,6 +383,7 @@ class TransformerModel:
             codes = np.concatenate([codes, assigned[:, None]], axis=1)
         return codes, final
 
+    @ad.no_grad()
     def mean_pooled_encoding(self, tokens: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Mask-aware mean of encoder states; the dense baseline embedding."""
         memory = self.encode_batch(tokens, mask).data
@@ -439,11 +440,10 @@ def save_checkpoint(path: str | Path, model: TransformerModel,
         arrays += [(f"codebook.{t}.{key}", getattr(cb, key)) for key in Codebook.STATE]
     opt_meta = None
     if optimizer is not None:
-        state = optimizer.state_dict()
-        opt_meta = {k: state[k] for k in _OPTIMIZER_KEYS}
-        for name in sorted(state["m"]):
-            arrays.append((f"opt.m.{name}", state["m"][name]))
-            arrays.append((f"opt.v.{name}", state["v"][name]))
+        opt_meta = {k: getattr(optimizer, k) for k in _OPTIMIZER_KEYS}
+        for name in sorted(optimizer.m):
+            arrays.append((f"opt.m.{name}", optimizer.m[name]))
+            arrays.append((f"opt.v.{name}", optimizer.v[name]))
 
     manifest = []
     offset = 0

@@ -217,12 +217,12 @@ class TestOptimizer:
     def test_adam_first_step_closed_form(self):
         # bias-corrected first step: lr * g / (|g| + eps)
         p = Tensor(1.0, requires_grad=True)
-        lr, eps = 1e-3, 1e-8
-        opt = Optimizer({"p": p}, lr=lr, eps=eps)
+        lr = 1e-3
+        opt = Optimizer({"p": p}, lr=lr)
         g = 2.0
         p.grad = np.asarray(g)
         opt.step()
-        expected = 1.0 - lr * g / (abs(g) + eps)
+        expected = 1.0 - lr * g / (abs(g) + ad.ADAM_EPS)
         assert np.isclose(float(p.data), expected, atol=1e-15)
 
     def test_nan_gradient_skips_update(self):
@@ -243,17 +243,6 @@ class TestOptimizer:
             p.grad = np.asarray(1.0)
             opt.step()
             assert opt.step_count == i
-
-    def test_state_roundtrip(self):
-        p = Tensor(np.ones(3), requires_grad=True)
-        opt = Optimizer({"p": p}, lr=0.01)
-        p.grad = np.full(3, 0.5)
-        opt.step()
-        state = opt.state_dict()
-        opt2 = Optimizer({"p": p}, lr=0.01)
-        opt2.load_state_dict(state)
-        assert opt2.step_count == 1
-        assert np.array_equal(opt2._m["p"], opt._m["p"])
 
 
 class TestGradCheck:

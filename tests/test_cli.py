@@ -99,7 +99,8 @@ class TestConfig:
         ("train", "optimizer", "adam"), ("train", "temperature", 1.0),
         ("train", "alignment_weight", 1.0), ("train", "commitment_weight", 1.0),
         ("train", "mask_same_item", True), ("train", "reinit_pool_size", 512),
-        ("train", "laplace_eps", 1e-5)])
+        ("train", "laplace_eps", 1e-5), ("data", "vocab_min_freq", 1),
+        ("data", "noise_pool_size", 60), ("eval", "consistency_levels", [1, 2])])
     def test_deleted_key_rejected(self, tmp_path, capsys, section, key, value):
         """Each deleted key, even at its old default, is an unknown key: synth
         exits 2 naming it and writes nothing."""
@@ -224,7 +225,8 @@ class TestExitCodes:
         ("eval", "dense_k", 0, "eval.dense_k must be >= 1"),
         ("eval", "recall_ks", [], "eval.recall_ks must not be empty"),
         ("eval", "recall_ks", [1, 0], "eval.recall_ks entries must be >= 1"),
-        ("eval", "consistency_levels", [1, 0], "eval.consistency_levels entries must be >= 1"),
+        ("eval", "consistency_levels", [1, 0],
+         "unknown config key(s) in eval: ['consistency_levels']"),
         (None, "seed", "11", "seed must be int"),
         ("model", "attention_heads", 0, "model.attention_heads must be >= 1, not 0"),
         ("model", "attention_heads", -2, "model.attention_heads must be >= 1, not -2"),
@@ -238,6 +240,26 @@ class TestExitCodes:
         ("train", "queries_per_item", 0, "train.queries_per_item must be >= 1, not 0"),
         ("train", "group_size", 0, "train.group_size must be >= 1, not 0"),
         ("pretrain", "batch_size", 0, "pretrain.batch_size must be >= 1, not 0"),
+        (None, "seed", -1, "seed must be >= 0, not -1"),
+        ("pretrain", "epochs", -1, "pretrain.epochs must be >= 0, not -1"),
+        ("train", "warmup_batches", -1, "train.warmup_batches must be >= 0, not -1"),
+        ("train", "reinit_interval_batches", -1,
+         "train.reinit_interval_batches must be >= 0, not -1"),
+        ("train", "dead_code_threshold", -0.5, "train.dead_code_threshold must be >= 0, not -0.5"),
+        ("data", "holdout_per_item", -1, "data.holdout_per_item must be >= 0, not -1"),
+        ("train", "epochs_per_step", 0, "train.epochs_per_step must be >= 1, not 0"),
+        ("train", "num_steps", 0, "train.num_steps must be >= 1, not 0"),
+        ("data", "depth", 0, "data.depth must be >= 1, not 0"),
+        ("data", "vocab_per_node", 0, "data.vocab_per_node must be >= 1, not 0"),
+        ("data", "items_per_leaf", 0, "data.items_per_leaf must be >= 1, not 0"),
+        ("data", "queries_per_item", 0, "data.queries_per_item must be >= 1, not 0"),
+        ("data", "tokens_per_level", 0, "data.tokens_per_level must be >= 1, not 0"),
+        ("data", "branching", 1, "data.branching must be >= 2, not 1"),
+        ("train", "codebook_size", 1, "train.codebook_size must be >= 2, not 1"),
+        ("train", "lr", -1.0, "train.lr must be > 0, not -1.0"),
+        ("pretrain", "lr", 0, "pretrain.lr must be > 0, not 0"),
+        ("data", "query_noise", 2.0, "data.query_noise must lie in [0, 1], not 2.0"),
+        ("data", "query_noise", -0.1, "data.query_noise must lie in [0, 1], not -0.1"),
     ], ids=["int-as-str", "steps-as-str", "int-as-float", "int-as-bool", "float-as-str",
             "bool-as-int", "str-as-null", "list-with-str", "list-as-int", "gamma-above-1",
             "gamma-zero", "eps-zero", "eps-negative", "cutoff-zero", "cutoff-negative",
@@ -245,7 +267,13 @@ class TestExitCodes:
             "recall-zero", "level-zero", "top-level-int-as-str", "heads-zero",
             "heads-negative", "hidden-zero", "text-len-zero", "feed-forward-zero",
             "encoder-layers-negative", "decoder-layers-negative", "hidden-indivisible",
-            "train-batch-zero", "train-queries-zero", "group-zero", "pretrain-batch-zero"])
+            "train-batch-zero", "train-queries-zero", "group-zero", "pretrain-batch-zero",
+            "seed-negative", "pretrain-epochs-negative", "warmup-negative",
+            "reinit-interval-negative", "dead-threshold-negative", "holdout-negative",
+            "epochs-per-step-zero", "num-steps-zero", "depth-zero", "vocab-per-node-zero",
+            "items-per-leaf-zero", "data-queries-zero", "tokens-per-level-zero",
+            "branching-one", "codebook-one", "train-lr-negative", "pretrain-lr-zero",
+            "noise-above-one", "noise-negative"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, section, key, value,
                                        message):
         """A value of the wrong type or out of range fails with exit 2 before
@@ -321,14 +349,15 @@ class TestPipelineArtifacts:
 
     def test_pretrain_resume_continues_steps(self, tmp_path):
         """A resume continues the step count and takes the learning rate from
-        its config, not from the checkpoint: at lr 0 it moves no parameter."""
+        its config, not from the checkpoint: at lr 1e-300, too small to move
+        a float64 parameter, it moves none."""
         out = tmp_path / "run"
         cfg = mini_config(out)
         cfg_path = write_config(tmp_path, cfg)
         assert main(["synth", "--config", str(cfg_path)]) == 0
         assert main(["pretrain", "--config", str(cfg_path)]) == 0
         before = load_checkpoint(out / "pretrain.ckpt")
-        cfg["pretrain"].update(epochs=4, lr=0)
+        cfg["pretrain"].update(epochs=4, lr=1e-300)
         cfg_path = write_config(tmp_path, cfg, name="config4.json")
         assert main(["pretrain", "--config", str(cfg_path),
                      "--from", str(out / "pretrain.ckpt")]) == 0
@@ -337,6 +366,24 @@ class TestPipelineArtifacts:
                 > before.optimizer_state["step_count"])
         for name, p in after.model.params.items():
             assert p.data.tobytes() == before.model.params[name].data.tobytes(), name
+
+    def test_pretrain_resume_matches_straight_run(self, tmp_path):
+        """Two epochs resumed with ``--from`` to four write the same
+        pretrain.ckpt, optimizer moments and counters included, as four
+        epochs run straight."""
+        def pretrain(out, epochs, *resume):
+            cfg = mini_config(out)
+            cfg["pretrain"]["epochs"] = epochs
+            return main(["pretrain", "--config", str(write_config(tmp_path, cfg)), *resume])
+
+        straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+        for out in (straight, resumed):
+            assert main(["synth", "--config", str(write_config(tmp_path, mini_config(out)))]) == 0
+        assert pretrain(straight, 4) == 0
+        assert pretrain(resumed, 2) == 0
+        assert pretrain(resumed, 4, "--from", str(resumed / "pretrain.ckpt")) == 0
+        assert ((straight / "pretrain.ckpt").read_bytes()
+                == (resumed / "pretrain.ckpt").read_bytes())
 
     def test_train_checkpoints_carry_no_optimizer(self, tmp_path):
         """Only pretrain.ckpt is resumed from, so only it keeps optimizer state."""
@@ -492,13 +539,19 @@ class TestEvalScoresRetrieveRuns:
          "runs_generative.json: corrupt retrieval runs file"),
         ("retrieve_manifest.json", lambda manifest: [],
          "retrieve_manifest.json: corrupt retrieve manifest file"),
-    ], ids=["runs-not-rows", "runs-row-extra-key", "manifest-not-object"])
+        ("runs_dense.json", None, "runs_dense.json: corrupt retrieval runs file (not JSON)"),
+        ("retrieve_manifest.json", None,
+         "retrieve_manifest.json: corrupt retrieve manifest file (not JSON)"),
+    ], ids=["runs-not-rows", "runs-row-extra-key", "manifest-not-object", "runs-not-json",
+            "manifest-not-json"])
     def test_corrupt_retrieve_file_refused(self, run, capsys, name, edit, reason):
         """A file retrieve wrote that eval cannot read is a corrupt artifact
-        (exit 2), not a runtime failure, and no metrics are written."""
+        (exit 2), not a runtime failure, and no metrics are written. An
+        ``edit`` of None leaves text that is not JSON."""
         out, _, cfg_path = run
         path = out / name
-        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        path.write_text("not json" if edit is None else
+                        json.dumps(edit(json.loads(path.read_text()))))
         assert self.eval_refused(cfg_path, capsys, reason)
         assert not (out / "metrics.json").exists()
 

@@ -17,12 +17,6 @@ class TestVocab:
         content = vocab.tokens[len(RESERVED_TOKENS):]
         assert content == ["a", "b"]
 
-    def test_min_frequency(self):
-        vocab = build_vocab(["a b a"], min_freq=2)
-        content = vocab.tokens[len(RESERVED_TOKENS):]
-        assert content == ["a"]
-        assert vocab.encode("b") == [vocab.index[UNK]]
-
     def test_hash_deterministic(self):
         v1 = build_vocab(["x y z", "x"])
         v2 = build_vocab(["x y z", "x"])

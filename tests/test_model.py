@@ -12,7 +12,7 @@ import pytest
 from semidx import autodiff as ad
 from semidx.config import dump_config, from_dict
 from semidx.data import RESERVED_TOKENS, Vocab
-from semidx.index import CodeIndex, greedy_decode_rows
+from semidx.index import CodeIndex, beam_search_decode_batch, greedy_decode_rows
 from semidx.model import (LAPLACE_EPS, Codebook, ModelConfig, TransformerModel,
                           checkpoint_hash, load_checkpoint, pad_rows,
                           save_checkpoint)
@@ -246,6 +246,36 @@ class TestGenerateIds:
         assert np.array_equal(a, b)
 
 
+class TestInferenceBuildsNoGraph:
+    def test_no_autodiff_node_recorded(self, tiny_model, monkeypatch):
+        """Greedy decoding, mean pooling and beam search record no graph
+        node, so no backward closure keeps their activations; a training
+        forward pass through the same spy still records them."""
+        recorded = []
+        node = ad._node
+
+        def spy(data, parents, backward):
+            out = node(data, parents, backward)
+            if out.requires_grad:
+                recorded.append(out)
+            return out
+
+        monkeypatch.setattr(ad, "_node", spy)
+        rows = [[3, 4, 5], [6, 7]]
+        tokens, mask = pad_rows(rows)
+        calls = {"greedy_decode_batch": lambda: tiny_model.greedy_decode_batch(tokens, mask, 2),
+                 "mean_pooled_encoding": lambda: tiny_model.mean_pooled_encoding(tokens, mask),
+                 "beam_search_decode_batch": lambda: beam_search_decode_batch(
+                     tiny_model, rows, 3, 2)}
+        counts = {}
+        for name, call in calls.items():
+            call()
+            counts[name], recorded[:] = len(recorded), []
+        assert counts == dict.fromkeys(calls, 0)
+        tiny_model.encode_batch(tokens, mask)
+        assert recorded
+
+
 class TestCodebookEma:
     def test_row_identity_after_updates(self):
         rng = np.random.default_rng(6)
@@ -340,7 +370,7 @@ class TestCheckpoint:
         save_checkpoint(path, tiny_model, optimizer=opt)
         bundle = load_checkpoint(path)
         assert bundle.optimizer_state["step_count"] == 1
-        assert np.array_equal(bundle.optimizer_state["m"]["tok_emb"], opt._m["tok_emb"])
+        assert np.array_equal(bundle.optimizer_state["m"]["tok_emb"], opt.m["tok_emb"])
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
