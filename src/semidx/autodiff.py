@@ -159,17 +159,6 @@ def add(a, b) -> Tensor:
     return _node(data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
-
-    def backward(g: Array) -> None:
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return _node(data, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
@@ -179,27 +168,6 @@ def mul(a, b) -> Tensor:
         _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(data, (a, b), backward)
-
-
-def log(t) -> Tensor:
-    t = as_tensor(t)
-    data = np.log(t.data)
-
-    def backward(g: Array) -> None:
-        _accumulate(t, g / t.data)
-
-    return _node(data, (t,), backward)
-
-
-def maximum_scalar(t, floor: float) -> Tensor:
-    """Elementwise max(t, floor); gradient passes only where t > floor."""
-    t = as_tensor(t)
-    data = np.maximum(t.data, floor)
-
-    def backward(g: Array) -> None:
-        _accumulate(t, g * (t.data > floor))
-
-    return _node(data, (t,), backward)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -263,7 +231,9 @@ def transpose(t, axes: Sequence[int]) -> Tensor:
 def take(t, idx) -> Tensor:
     """Generic indexing/slicing; backward scatter-adds into the source."""
     t = as_tensor(t)
-    data = np.array(t.data[idx])
+    data = t.data[idx]
+    if np.may_share_memory(data, t.data):   # a slice is a view: keep a copy
+        data = np.array(data)
 
     def backward(g: Array) -> None:
         full = np.zeros_like(t.data)
@@ -279,14 +249,7 @@ def embedding(table: Tensor, ids) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError("embedding index out of range")
-    data = table.data[ids]
-
-    def backward(g: Array) -> None:
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids, g)
-        _accumulate(table, full)
-
-    return _node(data, (table,), backward)
+    return take(table, ids)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -304,17 +267,14 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _node(data, tuple(parts), backward)
 
 
-def sum_(t, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(t) -> Tensor:
+    """The sum of every entry."""
     t = as_tensor(t)
-    data = t.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g: Array) -> None:
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        _accumulate(t, np.broadcast_to(gg, t.data.shape))
+        _accumulate(t, np.broadcast_to(g, t.data.shape))
 
-    return _node(data, (t,), backward)
+    return _node(t.data.sum(), (t,), backward)
 
 
 def take_along_last(t: Tensor, idx) -> Tensor:
@@ -335,33 +295,34 @@ def take_along_last(t: Tensor, idx) -> Tensor:
 # softmax family and losses
 # ---------------------------------------------------------------------------
 
-def softmax(t, axis: int = -1) -> Tensor:
-    """Numerically stable softmax (max subtraction)."""
+def softmax(t) -> Tensor:
+    """Numerically stable softmax (max subtraction) over the last axis."""
     t = as_tensor(t)
     if not np.isfinite(t.data).all():
         raise FloatingPointError("softmax input must be finite")
-    z = t.data - t.data.max(axis=axis, keepdims=True)
+    z = t.data - t.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g: Array) -> None:
-        dot = (g * y).sum(axis=axis, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         _accumulate(t, (g - dot) * y)
 
     return _node(y, (t,), backward)
 
 
-def log_softmax(t, axis: int = -1) -> Tensor:
+def log_softmax(t) -> Tensor:
+    """Log of the softmax over the last axis."""
     t = as_tensor(t)
     if not np.isfinite(t.data).all():
         raise FloatingPointError("log_softmax input must be finite")
-    z = t.data - t.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    z = t.data - t.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     out = z - lse
     y = np.exp(out)
 
     def backward(g: Array) -> None:
-        _accumulate(t, g - y * g.sum(axis=axis, keepdims=True))
+        _accumulate(t, g - y * g.sum(axis=-1, keepdims=True))
 
     return _node(out, (t,), backward)
 
@@ -418,9 +379,18 @@ def kl_divergence(p, q) -> Tensor:
     sums_q = q.data.sum(axis=-1)
     if not (np.allclose(sums_p, 1.0, atol=1e-6) and np.allclose(sums_q, 1.0, atol=1e-6)):
         raise ValueError("kl_divergence inputs must sum to 1 along the last axis")
-    logp = log(maximum_scalar(p, KL_FLOOR))
-    logq = log(maximum_scalar(q, KL_FLOOR))
-    return sum_(mul(p, sub(logp, logq)), axis=-1)
+    P = np.maximum(p.data, KL_FLOOR)
+    Q = np.maximum(q.data, KL_FLOOR)
+    log_ratio = np.log(P) - np.log(Q)
+
+    def backward(g: Array) -> None:
+        G = np.expand_dims(g, -1)
+        gp = G * p.data
+        # a clamped entry passes no gradient through its log
+        _accumulate(p, G * log_ratio + gp / P * (p.data > KL_FLOOR))
+        _accumulate(q, -gp / Q * (q.data > KL_FLOOR))
+
+    return _node((p.data * log_ratio).sum(axis=-1), (p, q), backward)
 
 
 # ---------------------------------------------------------------------------

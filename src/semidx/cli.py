@@ -24,7 +24,7 @@ from semidx import index as index_mod
 from semidx import metrics as metrics_mod
 from semidx.autodiff import Optimizer
 from semidx.config import (ConfigError, RunConfig, config_hash, dump_config,
-                           from_dict, load_config, to_dict)
+                           load_config, to_dict)
 from semidx.data import (Corpus, Vocab, build_vocab, load_corpus, split_pairs,
                          synth_corpus, write_items, write_pairs)
 from semidx.metrics import RankedList
@@ -245,9 +245,9 @@ def cmd_index(cfg: RunConfig, from_checkpoint: str | None = None) -> int:
 
 def _query_inputs(cfg: RunConfig) -> dict[str, Path]:
     """The corpus files the held-out queries and their judgments come from."""
-    items_path, pairs_path, heldout_path = _corpus_paths(cfg)
-    return {"items": items_path,
-            "queries": heldout_path if heldout_path.exists() else pairs_path}
+    items_path, _, heldout_path = _corpus_paths(cfg)
+    return {"items": _require(items_path, "corpus items file"),
+            "queries": _require(heldout_path, "held-out query pairs file")}
 
 
 def _heldout_queries(cfg: RunConfig, vocab: Vocab,
@@ -255,8 +255,7 @@ def _heldout_queries(cfg: RunConfig, vocab: Vocab,
     """The items with the held-out pairs, and the ids, token rows and judged
     items of the held-out queries."""
     source = _query_inputs(cfg)
-    corpus, _ = load_corpus(_require(source["items"], "corpus items file"),
-                            _require(source["queries"], "query pairs file"))
+    corpus, _ = load_corpus(source["items"], source["queries"])
     query_ids, token_rows = [], []
     judgments: dict[str, set[str]] = {}
     for i, pair in enumerate(corpus.pairs):
@@ -424,26 +423,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else from_dict({})
-    raw = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-        # keep the corpus next to the outputs unless the config pinned it
-        if "data_dir" not in raw:
-            cfg.data_dir = str(Path(args.out) / "data")
-    return cfg
-
-
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("SEMIDX_LOG", "WARNING").upper(),
                         format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve_config(args)
+        cfg = load_config(args.config, args.seed, args.out)
         if args.command == "synth":
             return cmd_synth(cfg)
         if args.command == "pretrain":

@@ -173,13 +173,24 @@ def to_dict(cfg: RunConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
-def load_config(path: str | Path) -> RunConfig:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+def load_config(path: str | Path | None = None, seed: int | None = None,
+                out_dir: str | None = None) -> RunConfig:
+    """The config file's keys (none without ``path``) with a command-line
+    ``seed`` and ``out_dir`` folded in, checked once. An ``out_dir`` moves
+    the corpus next to it unless the file sets ``data_dir``."""
+    payload = {}
+    if path:
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        if not isinstance(payload, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
+    if seed is not None:
+        payload["seed"] = seed
+    if out_dir is not None:
+        payload.setdefault("data_dir", str(Path(out_dir) / "data"))
+        payload["out_dir"] = out_dir
     return from_dict(payload)
 
 

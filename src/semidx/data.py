@@ -238,22 +238,22 @@ def load_corpus(items_path: str | Path, pairs_path: str | Path | None,
 
 
 def write_items(items, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         for it in items:
             rec = {"id": it.item_id, "text": it.text}
             if it.category is not None:
                 rec["category"] = it.category
             if it.path is not None:
                 rec["path"] = list(it.path)
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write((json.dumps(rec, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def write_pairs(pairs, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(path) as fh:
         for p in pairs:
             rec = {"query": p.query, "item_id": p.item_id, "weight": p.weight,
                    "behavior": p.behavior}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write((json.dumps(rec, sort_keys=True) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

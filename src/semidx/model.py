@@ -104,7 +104,7 @@ class Codebook:
         return ad.matmul(d, Tensor(self.embeddings.T))
 
     def distribution(self, d: Tensor) -> Tensor:
-        return ad.softmax(self.logits(d), axis=-1)
+        return ad.softmax(self.logits(d))
 
     def row_log_probs(self, d_values: np.ndarray) -> np.ndarray:
         """(N, K) log code probabilities of (N, D) states from one (1, D) x (D, K)
@@ -271,7 +271,7 @@ class TransformerModel:
         scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
         if bias is not None:
             scores = ad.add(scores, bias)
-        attn = ad.softmax(scores, axis=-1)
+        attn = ad.softmax(scores)
         ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (B, Lq, D))
         return ad.matmul(ctx, p[f"{prefix}.wo"])
 
@@ -347,7 +347,7 @@ class TransformerModel:
         return self._decode_stack(x, self_bias, memory, cross_bias)
 
     def lm_log_probs(self, hidden: Tensor) -> Tensor:
-        return ad.log_softmax(ad.matmul(hidden, self.params["lm_head"]), axis=-1)
+        return ad.log_softmax(ad.matmul(hidden, self.params["lm_head"]))
 
     # ------------------------------------------------------------------
     # quantization surface

@@ -209,9 +209,8 @@ def contrastive_term(fwd: BatchForward) -> Tensor:
     scores = ad.matmul(q_final, ad.transpose(d_final, (1, 0)))
     same = fwd.entry_item_idx[:, None] == fwd.entry_item_idx[None, :]
     bias = np.where(same & ~np.eye(B, dtype=bool), -1e9, 0.0)
-    log_probs = ad.log_softmax(ad.add(scores, bias), axis=-1)
-    diag = ad.sum_(ad.mul(log_probs, np.eye(B)), axis=-1)
-    return ad.mul(ad.sum_(diag), -1.0 / B)
+    log_probs = ad.log_softmax(ad.add(scores, bias))
+    return ad.mul(ad.nll_loss(log_probs, np.arange(B)), 1.0 / B)
 
 
 def kl_term(fwd: BatchForward, model: TransformerModel) -> Tensor:
@@ -246,7 +245,7 @@ def commitment_loss(fwd: BatchForward, model: TransformerModel,
     total = None
     for t in range(1, fwd.step + 1):
         cb = model.codebooks[t - 1]
-        log_q = ad.log_softmax(cb.logits(fwd.d_states[:, t - 1, :]), axis=-1)
+        log_q = ad.log_softmax(cb.logits(fwd.d_states[:, t - 1, :]))
         picked = ad.take_along_last(log_q, targets[:, t - 1])
         total = picked if total is None else ad.add(total, picked)
     return ad.mul(ad.sum_(total), -1.0 / U)

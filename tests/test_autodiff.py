@@ -33,9 +33,6 @@ class TestOpGradients:
     def test_add_broadcast(self):
         check_op(lambda x0, x1: ad.add(x0, x1), [(3, 4), (4,)])
 
-    def test_sub(self):
-        check_op(lambda x0, x1: ad.sub(x0, x1), [(3, 4), (3, 4)])
-
     def test_mul_broadcast(self):
         check_op(lambda x0, x1: ad.mul(x0, x1), [(2, 3, 4), (3, 4)])
 
@@ -58,29 +55,14 @@ class TestOpGradients:
     def test_concat(self):
         check_op(lambda x0, x1: ad.concat([x0, x1], axis=1), [(2, 3), (2, 2)])
 
-    def test_sum_axis(self):
-        check_op(lambda x0: ad.sum_(x0, axis=1), [(3, 4, 2)])
-
-    def test_log_exp(self):
-        params = {"x": Tensor(RNG.uniform(0.5, 2.0, size=(3, 4)), requires_grad=True)}
-        w = RNG.normal(size=(3, 4))
-
-        def loss_fn():
-            return ad.sum_(ad.mul(ad.log(params["x"]), w))
-
-        assert grad_check(loss_fn, params).max_rel_error < 1e-4
-
-    def test_maximum_scalar(self):
-        check_op(lambda x0: ad.maximum_scalar(x0, 0.3), [(4, 4)])
-
     def test_gelu(self):
         check_op(lambda x0: ad.gelu(x0), [(4, 5)])
 
     def test_softmax(self):
-        check_op(lambda x0: ad.softmax(x0, axis=-1), [(3, 6)])
+        check_op(lambda x0: ad.softmax(x0), [(3, 6)])
 
     def test_log_softmax(self):
-        check_op(lambda x0: ad.log_softmax(x0, axis=-1), [(3, 6)])
+        check_op(lambda x0: ad.log_softmax(x0), [(3, 6)])
 
     def test_layer_norm(self):
         params = {
@@ -203,6 +185,31 @@ class TestKlDivergence:
             return ad.kl_divergence(ad.softmax(params["a"]), ad.softmax(params["b"]))
 
         assert grad_check(loss_fn, params).max_rel_error < 1e-4
+
+    def test_gradcheck_rows_below_floor(self):
+        """(3, 5) rows, weighted per row, with entries of p and of q below
+        KL_FLOOR (logit -40): covers the per-row gradient and both clamped
+        branches."""
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
+        a[0, 1] = a[2, 3] = -40.0
+        b[1, 4] = b[2, 0] = -40.0
+        params = {"a": Tensor(a, requires_grad=True), "b": Tensor(b, requires_grad=True)}
+        w = rng.normal(size=3)
+
+        def loss_fn():
+            kl = ad.kl_divergence(ad.softmax(params["a"]), ad.softmax(params["b"]))
+            return ad.sum_(ad.mul(kl, w))
+
+        for name in params:
+            assert (ad.softmax(params[name]).data < ad.KL_FLOOR).sum() == 2
+        assert grad_check(loss_fn, params).max_rel_error < 1e-6
+
+    def test_records_one_node(self):
+        p = Tensor([0.2, 0.3, 0.5], requires_grad=True)
+        q = Tensor([0.4, 0.4, 0.2], requires_grad=True)
+        out = ad.kl_divergence(p, q)
+        assert out._parents == (p, q)
 
 
 class TestOptimizer:

@@ -286,6 +286,14 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        """--seed goes through the config loader's range check like the file's
+        seed: exit 2 naming the key, nothing written."""
+        capsys.readouterr()
+        assert main(["synth", "--out", str(tmp_path / "run"), "--seed", "-1"]) == 2
+        assert "seed must be >= 0, not -1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_int_for_float_key_loads(self, tmp_path):
         cfg = mini_config(tmp_path / "run")
         cfg["train"].update(gamma=1, lr=1)
@@ -503,6 +511,22 @@ class TestEvalScoresRetrieveRuns:
         assert self.eval_refused(cfg_path, capsys, "missing retrieval runs")
         assert not (out / "metrics.json").exists()
 
+    def test_missing_heldout_refused(self, run, capsys):
+        """Without pairs_heldout.jsonl, retrieve and eval exit 2 naming it and
+        write no runs or metrics; they never score the training pairs."""
+        out, _, cfg_path = run
+        heldout = out / "data" / "pairs_heldout.jsonl"
+        heldout.unlink()
+        for mode in ("dense", "generative"):
+            (out / f"runs_{mode}.json").unlink()
+        reason = f"missing held-out query pairs file: {heldout}"
+        for command in ("retrieve", "eval"):
+            capsys.readouterr()
+            assert main([command, "--config", str(cfg_path)]) == 2, command
+            assert reason in capsys.readouterr().err, command
+        assert not list(out.glob("runs_*.json"))
+        assert not (out / "metrics.json").exists()
+
     def test_missing_retrieve_manifest_refused(self, run, capsys):
         out, _, cfg_path = run
         (out / "retrieve_manifest.json").unlink()
@@ -630,9 +654,10 @@ class TestOneItemCorpus:
         data_dir.mkdir(parents=True)
         (data_dir / "items.jsonl").write_text(
             json.dumps({"id": "solo", "text": "red fox jumps high"}) + "\n")
-        (data_dir / "pairs.jsonl").write_text(
-            json.dumps({"query": "fox jumps", "item_id": "solo",
-                        "weight": 1, "behavior": "click"}) + "\n")
+        pair = json.dumps({"query": "fox jumps", "item_id": "solo",
+                           "weight": 1, "behavior": "click"}) + "\n"
+        for name in ("pairs.jsonl", "pairs_heldout.jsonl"):
+            (data_dir / name).write_text(pair)
         cfg = mini_config(out)
         cfg["pretrain"]["epochs"] = 1
         cfg_path = write_config(tmp_path, cfg)

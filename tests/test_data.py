@@ -128,6 +128,24 @@ class TestLoadCorpus:
         assert corpus.items["a"].text == "hi"
 
 
+class TestCorpusWrites:
+    @pytest.mark.parametrize("write", [write_items, write_pairs])
+    def test_failure_mid_write_leaves_no_file(self, tmp_path, write):
+        """A corpus write that fails after its first line leaves neither the
+        file nor a temp file behind, so no later stage reads a cut corpus."""
+        items, pairs = synth_corpus(depth=1, branching=2, vocab_per_node=10,
+                                    items_per_leaf=2, query_noise=0.0, seed=0)
+        records = items if write is write_items else pairs
+
+        def cut_short():
+            yield records[0]
+            raise OSError("no space left on device")
+
+        with pytest.raises(OSError, match="no space left"):
+            write(cut_short(), tmp_path / "corpus.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSynthCorpus:
     def test_tree_arithmetic(self):
         items, pairs = synth_corpus(depth=2, branching=8, vocab_per_node=10,
